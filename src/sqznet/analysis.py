@@ -1,22 +1,20 @@
 """Closed-form results and derived diagnostics for the cancellation scheme.
 
 The reflectivity condition that removes the bright source from the chosen
-output port, the squeezed-vacuum output variance it produces, a numeric
-cancellation solver valid at any sideband frequency, suppression and
-squeezing-band metrics, and loss-budget arithmetic.
+output port, the squeezed-vacuum output variance it produces, its
+closed-form extension to any sideband frequency (checked against the
+composed network), suppression and squeezing-band metrics, the bare-OPA
+comparison spectrum, and loss-budget arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 
-import numpy as np
-from scipy import optimize
-
-from .core import Quadrature, variance
-from .elements import BeamsplitterParams, OpaParams
+from .core import NoiseVarianceModel, Quadrature
+from .elements import BeamsplitterParams, OpaParams, homodyne_readout
 from .network import (
     SRC,
     HomodyneParams,
@@ -90,30 +88,25 @@ def solve_cancellation_numeric(
 ) -> CancellationSolution:
     """Null the source coefficient at frequency ``omega`` over (eps1, phi).
 
-    Seeded with the zero-frequency closed form and phi = 0, then refined by
-    damped least squares on the complex coefficient.  Raises if the best
-    residual stays above ``tol``.
+    Closed form from the cavity input-output relation: with the squeezed
+    arm's seed transfer T = sqrt(4*k_ic*k_oc) / (i*omega + kappa - g),
+    eps1 = 1 - [1 + eps2/(1-eps2) * |T|^2]^-1 and phi = -arg T, which is
+    atan2(omega, kappa - g) and stays defined when k_ic = 0.  The source
+    coefficient of the network built at that point is the residual; raises
+    if it exceeds ``tol``.
     """
-    seed = epsilon1_plus(p.epsilon2.epsilon, p.opa)
-
-    def fun(x: np.ndarray) -> np.ndarray:
-        c = _src_coefficient(p, float(x[0]), float(x[1]), omega)
-        return np.array([c.real, c.imag])
-
-    res = optimize.least_squares(
-        fun,
-        x0=np.array([seed, 0.0]),
-        bounds=([1e-12, -math.pi], [1.0 - 1e-12, math.pi]),
-        xtol=3e-16,
-        ftol=3e-16,
-        gtol=None,
-        max_nfev=200,
-    )
-    eps1, phi = float(res.x[0]), float(res.x[1])
+    eps2 = p.epsilon2.epsilon
+    if not 0.0 < eps2 < 1.0:
+        raise ValueError(f"epsilon2 must lie strictly inside (0, 1), got {eps2}")
+    opa = p.opa
+    detuning = opa.kappa - opa.g
+    t_squared = 4.0 * opa.kappa_ic * opa.kappa_oc / (omega**2 + detuning**2)
+    eps1 = 1.0 - 1.0 / (1.0 + (eps2 / (1.0 - eps2)) * t_squared)
+    phi = math.atan2(omega, detuning)
     residual = abs(_src_coefficient(p, eps1, phi, omega))
     if residual > tol:
         raise ArithmeticError(
-            f"cancellation solve did not converge: best residual {residual:.3e} "
+            f"cancellation solve left residual {residual:.3e} above {tol:.1e} "
             f"at eps1={eps1:.12g}, phi={phi:.12g}"
         )
     return CancellationSolution(epsilon1=eps1, phi=phi, residual=residual)
@@ -227,11 +220,19 @@ def noise_budget(point: SpectrumPoint) -> NoiseBudget:
     return NoiseBudget(frequency_hz=point.frequency_hz, total=total, entries=entries)
 
 
-def bare_source_variance(p: MachZehnderParams, omega: float) -> float:
-    """Detected variance with both splitters bypassed (bare-OPA topology)."""
-    bare = bare_opa_params(p)
-    net = build_mach_zehnder(bare)
-    fld = evaluate(net, omega)
-    models = net.source_models({SRC: p.src_model})
-    eta = p.detection.eta_eff
-    return eta * variance(fld, Quadrature.PLUS, models) + (1.0 - eta) + p.detection.dark_rel
+def bare_source_variance(
+    p: MachZehnderParams,
+    grid_hz: Sequence[float],
+    sources: Mapping[str, NoiseVarianceModel],
+) -> list[float]:
+    """Detected variance over ``grid_hz`` with both splitters bypassed.
+
+    The bare-OPA network has the same noise sources as the interferometer,
+    so ``sources`` may be the interferometer's own models.
+    """
+    net = build_mach_zehnder(bare_opa_params(p))
+    readout = net.detection
+    return [
+        homodyne_readout(evaluate(net, 2.0 * math.pi * f), Quadrature.PLUS, readout, sources)
+        for f in grid_hz
+    ]

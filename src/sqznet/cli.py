@@ -7,7 +7,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from collections.abc import Sequence
 
@@ -38,13 +37,13 @@ def write_csv(cfg: ScenarioConfig, out_path: str) -> None:
     header = ["frequency_hz", "v_total", "v_total_db", "shot_ref"]
     if cfg.include_bare_opa:
         header.append("v_bare_opa")
+        bare = bare_source_variance(cfg.mach_zehnder, grid, models)
     header += budget_cols
     lines = [",".join(header)]
-    for pt in points:
+    for i, pt in enumerate(points):
         row = [_fmt(pt.frequency_hz), _fmt(pt.v_plus), _fmt(pt.v_plus_db), _fmt(1.0)]
         if cfg.include_bare_opa:
-            omega = 2.0 * math.pi * pt.frequency_hz
-            row.append(_fmt(bare_source_variance(cfg.mach_zehnder, omega)))
+            row.append(_fmt(bare[i]))
         row += [_fmt(pt.contributions[c]) for c in budget_cols]
         lines.append(",".join(row))
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -5,11 +5,11 @@ report.
 """
 
 import math
+import sys
 import time
 from dataclasses import replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from sqznet import (
     BeamsplitterParams,
@@ -35,6 +35,23 @@ from sqznet.verify import draw_opa, opa_output_variances, random_passive_network
 def report(name, passed, detail):
     print(f"\n[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
     assert passed, f"{name}: {detail}"
+
+
+def bisect_root(f, lo, hi, xtol=2e-12, rtol=4 * sys.float_info.epsilon):
+    """Root of ``f`` in [lo, hi] by bisection, to brentq's default tolerances."""
+    f_lo = f(lo)
+    if (f_lo < 0.0) == (f(hi) < 0.0):
+        raise ValueError("f(lo) and f(hi) must differ in sign")
+    while hi - lo > xtol + rtol * abs(lo + hi) / 2:
+        mid = (lo + hi) / 2
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
 
 
 def test_criterion_1_equation_triangle_consistency():
@@ -159,7 +176,7 @@ def test_criterion_7_25db_suppression_attainable():
     values = [suppression_db(cfg.mach_zehnder, omega, float(m)) for m in mismatches]
     monotone = all(b < a for a, b in zip(values, values[1:]))
     brackets = values[0] > 25.0 > values[-1]
-    m_star = brentq(lambda m: suppression_db(cfg.mach_zehnder, omega, m) - 25.0, 1e-4, 6e-2)
+    m_star = bisect_root(lambda m: suppression_db(cfg.mach_zehnder, omega, m) - 25.0, 1e-4, 6e-2)
     passed = monotone and brackets and 1e-4 <= m_star <= 6e-2
     report(
         "criterion 7: 25 dB suppression at 1.5 MHz",
@@ -197,7 +214,7 @@ def test_criterion_9_squeezing_band_edge_self_consistency():
         fld = evaluate(net, 2 * math.pi * f_hz)
         return homodyne_readout(fld, Quadrature.PLUS, net.detection, models) - 1.0
 
-    f_cross = brentq(total_minus_shot, grid[0], grid[-1])
+    f_cross = bisect_root(total_minus_shot, grid[0], grid[-1])
     grid_step = grid[1] - grid[0]
     passed = (
         len(bands) >= 1

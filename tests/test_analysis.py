@@ -28,6 +28,7 @@ from sqznet.config import load_preset
 from sqznet.network import SRC, build_mach_zehnder
 
 from conftest import draw_opa
+from oracles import mz_output_coefficients
 
 
 def mz_params(eps1, eps2, phi, opa, **kw):
@@ -107,7 +108,7 @@ class TestSolveCancellation:
             eps2 = rng.uniform(0.05, 0.95)
             p = mz_params(0.5, eps2, 0.0, opa)
             sol = solve_cancellation_numeric(p, 0.0)
-            assert sol.epsilon1 == pytest.approx(epsilon1_plus(eps2, opa), abs=1e-10)
+            assert sol.epsilon1 == pytest.approx(epsilon1_plus(eps2, opa), abs=1e-12)
             assert abs(sol.phi) < 1e-6
             assert sol.residual < 1e-12
 
@@ -125,6 +126,37 @@ class TestSolveCancellation:
         opa = cfg.mach_zehnder.opa
         expected_phi = math.atan2(2 * math.pi * 1.5e6, opa.kappa - opa.g)
         assert sol.phi == pytest.approx(expected_phi, abs=1e-6)
+
+    def test_closed_form_nulls_network_at_any_frequency(self, rng):
+        for _ in range(200):
+            opa = draw_opa(rng)
+            eps2 = rng.uniform(0.05, 0.95)
+            omega = 2 * math.pi * 10 ** rng.uniform(3.0, math.log10(3e7))
+            sol = solve_cancellation_numeric(mz_params(0.5, eps2, 0.0, opa), omega)
+            assert sol.residual <= 1e-12
+            assert sol.phi == pytest.approx(math.atan2(omega, opa.kappa - opa.g), abs=1e-12)
+            src = mz_output_coefficients(sol.epsilon1, eps2, sol.phi, opa, omega)["src"]
+            assert abs(src) <= 1e-12
+
+    def test_no_input_coupling_gives_trivial_null(self):
+        # With k_ic = 0 the source never reaches the squeezed arm, so blocking
+        # the reference arm (eps1 = 0) cancels it exactly at every frequency.
+        p = mz_params(0.5, 0.9, 0.0, OpaParams(0.0, 0.8, 0.2, -0.3))
+        for omega in (0.0, 0.5, 3.0):
+            sol = solve_cancellation_numeric(p, omega)
+            assert sol.epsilon1 == 0.0
+            assert sol.residual == 0.0
+
+    @pytest.mark.parametrize("eps2", [0.0, 1.0])
+    def test_singular_epsilon2_rejected(self, eps2):
+        p = mz_params(0.5, eps2, 0.0, OpaParams(0.5, 0.5, 0.0, 0.0))
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            solve_cancellation_numeric(p, 0.0)
+
+    def test_residual_above_tolerance_raises(self):
+        p = load_preset("paper-fig2").mach_zehnder
+        with pytest.raises(ArithmeticError, match="residual"):
+            solve_cancellation_numeric(p, 2 * math.pi * 1e6, tol=0.0)
 
     def test_residual_grows_quadratically_with_frequency(self):
         cfg = load_preset("paper-fig2")

@@ -1,10 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import sqznet
+from sqznet import Quadrature, evaluate, homodyne_readout
 from sqznet.cli import main
 from sqznet.config import ConfigError, load_preset, parse_config, _paper_base
+from sqznet.network import SRC, bare_opa_params, build_mach_zehnder
 
 
 def run(argv):
@@ -110,6 +117,21 @@ class TestSweepCommand:
         assert float(rows[0].split(",")[0]) == pytest.approx(1e5)
         assert float(rows[-1].split(",")[0]) == pytest.approx(1e6)
 
+    def test_bare_opa_column_matches_bare_network(self, tmp_path):
+        out = tmp_path / "bare.csv"
+        argv = ["sweep", "--preset", "paper-fig2", "--out", str(out), "--points", "11"]
+        assert run(argv) == 0
+        lines = out.read_text().splitlines()
+        column = lines[0].split(",").index("v_bare_opa")
+        p = load_preset("paper-fig2").mach_zehnder
+        net = build_mach_zehnder(bare_opa_params(p))
+        models = net.source_models({SRC: p.src_model})
+        for line in lines[1:]:
+            cells = [float(x) for x in line.split(",")]
+            fld = evaluate(net, 2 * math.pi * cells[0])
+            expected = homodyne_readout(fld, Quadrature.PLUS, net.detection, models)
+            assert cells[column] == pytest.approx(expected, rel=1e-11)
+
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         data = _paper_base()
         data["mach_zehnder"]["epsilon2"] = 1.2
@@ -147,3 +169,19 @@ class TestVerifyCommand:
         run(["verify", "--seed", "11", "--draws", "100"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestImportPath:
+    def test_cli_import_loads_no_numerical_stack(self):
+        # Every CLI start pays for what sqznet.cli imports; verify imports
+        # numpy itself, when it runs.
+        src = str(Path(sqznet.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import sqznet, sqznet.cli, sys; "
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"

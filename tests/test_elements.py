@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sqznet import (
@@ -249,6 +249,8 @@ class TestLoss:
             loss(f, LossParams(0.5, "a"))
 
     @given(eta=st.floats(min_value=0.01, max_value=1.0), g=st.floats(min_value=-0.9, max_value=0.0))
+    # Here (1 - eta)*|V - 1| is about 1e-16, below what the strict < can resolve.
+    @example(eta=0.9999999999999999, g=-0.5)
     def test_contraction_toward_shot_noise(self, eta, g):
         opa = OpaParams(0.0, 1.0, 0.0, g)
         out = opa_transfer(source("seed", 0.0, 0.0), opa, "oc", "cav")
@@ -256,8 +258,8 @@ class TestLoss:
         for q in Quadrature:
             v = variance(out, q, models)
             v_lossy = variance(loss(out, LossParams(eta, "v")), q, models)
-            assert abs(v_lossy - 1.0) <= abs(v - 1.0) + 1e-12
-            if eta < 1.0 and abs(v - 1.0) > 1e-9:
+            assert abs(v_lossy - 1.0) <= eta * abs(v - 1.0) + 1e-12
+            if (1.0 - eta) * abs(v - 1.0) > 1e-12:
                 assert abs(v_lossy - 1.0) < abs(v - 1.0)
 
 
