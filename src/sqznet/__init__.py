@@ -36,7 +36,6 @@ from .elements import (
     beamsplitter,
     homodyne_readout,
     loss,
-    modulator,
     opa_from_mirrors,
     opa_transfer,
     phase_shift,
@@ -46,7 +45,6 @@ from .network import (
     Beamsplitter,
     LossElement,
     MachZehnderParams,
-    Modulator,
     NetworkDescription,
     NetworkError,
     Opa,
@@ -67,7 +65,6 @@ __all__ = [
     "LossElement",
     "LossParams",
     "MachZehnderParams",
-    "Modulator",
     "NetworkDescription",
     "NetworkError",
     "NoiseBudget",
@@ -88,7 +85,6 @@ __all__ = [
     "homodyne_readout",
     "loss",
     "loss_chain",
-    "modulator",
     "noise_budget",
     "opa_from_mirrors",
     "opa_transfer",

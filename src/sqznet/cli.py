@@ -76,26 +76,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_preset(args.preset) if args.preset else load_config(args.config)
-        grid = cfg.grid
-        if any(v is not None for v in (args.fmin, args.fmax, args.points, args.spacing)):
-            grid = GridSpec(
-                min_hz=args.fmin if args.fmin is not None else grid.min_hz,
-                max_hz=args.fmax if args.fmax is not None else grid.max_hz,
-                points=args.points if args.points is not None else grid.points,
-                spacing=args.spacing if args.spacing is not None else grid.spacing,
-            )
-        cfg = ScenarioConfig(
-            mach_zehnder=cfg.mach_zehnder,
-            grid=grid,
-            include_budget=cfg.include_budget or args.budget,
-            include_bare_opa=cfg.include_bare_opa,
+    cfg = load_preset(args.preset) if args.preset else load_config(args.config)
+    grid = cfg.grid
+    if any(v is not None for v in (args.fmin, args.fmax, args.points, args.spacing)):
+        grid = GridSpec(
+            min_hz=args.fmin if args.fmin is not None else grid.min_hz,
+            max_hz=args.fmax if args.fmax is not None else grid.max_hz,
+            points=args.points if args.points is not None else grid.points,
+            spacing=args.spacing if args.spacing is not None else grid.spacing,
         )
-        write_csv(cfg, args.out)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = ScenarioConfig(
+        mach_zehnder=cfg.mach_zehnder,
+        grid=grid,
+        include_budget=cfg.include_budget or args.budget,
+        include_bare_opa=cfg.include_bare_opa,
+    )
+    write_csv(cfg, args.out)
     return 0
 
 
@@ -110,9 +106,11 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "sweep":
-        return _run_sweep(args)
-    return _run_verify(args)
+    try:
+        return _run_sweep(args) if args.command == "sweep" else _run_verify(args)
+    except (ConfigError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

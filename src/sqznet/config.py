@@ -1,8 +1,9 @@
 """Scenario configuration: YAML schema, validation, and shipped presets.
 
 A scenario pins every interferometer parameter, the frequency grid, the
-laser-noise model and the requested output columns.  Unknown keys are hard
-errors; silent misconfiguration would corrupt physics comparisons.
+laser-noise model and the requested output columns.  Unknown keys, sections
+that are not mappings and numbers that are not finite are hard errors;
+silent misconfiguration would corrupt physics comparisons.
 
 The shipped presets encode the lab values of the recorded experiment
 (29 MHz cavity linewidth read as FWHM, mirror transmissions 0.0003/0.05,
@@ -36,10 +37,10 @@ class GridSpec:
     spacing: str = "log"
 
     def __post_init__(self) -> None:
-        if self.min_hz <= 0.0:
-            raise ConfigError(f"grid.min_hz must be > 0, got {self.min_hz}")
-        if self.max_hz <= self.min_hz:
-            raise ConfigError("grid.max_hz must exceed grid.min_hz")
+        if not 0.0 < self.min_hz < math.inf:
+            raise ConfigError(f"grid.min_hz must be finite and > 0, got {self.min_hz}")
+        if not self.min_hz < self.max_hz < math.inf:
+            raise ConfigError("grid.max_hz must be finite and exceed grid.min_hz")
         if self.points < 2:
             raise ConfigError(f"grid.points must be >= 2, got {self.points}")
         if self.spacing not in ("log", "linear"):
@@ -62,10 +63,12 @@ class ScenarioConfig:
     include_bare_opa: bool = False
 
 
-def _require_keys(section: dict, allowed: set[str], where: str) -> None:
+def _require_keys(section: Any, allowed: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{where}' must be a mapping, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in '{where}'")
+        raise ConfigError(f"unknown key(s) {sorted(unknown, key=str)} in '{where}'")
 
 
 def _get(section: dict, key: str, where: str) -> Any:
@@ -74,54 +77,65 @@ def _get(section: dict, key: str, where: str) -> Any:
     return section[key]
 
 
-def _parse_opa(section: dict) -> OpaParams:
-    if "kappa_ic" in section:
-        _require_keys(section, {"kappa_ic", "kappa_oc", "kappa_loss", "g"}, "mach_zehnder.opa")
+def _number(section: dict, key: str, where: str, default: float | None = None) -> float:
+    """Finite float at ``section[key]``, required unless ``default`` is given.
+
+    Numeric strings count (YAML 1.1 reads ``29.0e6`` as one); booleans do not.
+    """
+    if key not in section:
+        if default is None:
+            raise ConfigError(f"missing required key '{key}' in '{where}'")
+        return default
+    value = section[key]
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ConfigError(f"'{where}.{key}' must be a finite number, got {value!r}")
+    return number
+
+
+def _parse_opa(section: Any) -> OpaParams:
+    where = "mach_zehnder.opa"
+    if isinstance(section, dict) and "kappa_ic" in section:
+        rates = ("kappa_ic", "kappa_oc", "kappa_loss", "g")
+        _require_keys(section, set(rates), where)
         try:
-            return OpaParams(
-                kappa_ic=float(_get(section, "kappa_ic", "opa")),
-                kappa_oc=float(_get(section, "kappa_oc", "opa")),
-                kappa_loss=float(_get(section, "kappa_loss", "opa")),
-                g=float(_get(section, "g", "opa")),
-            )
+            return OpaParams(*(_number(section, key, where) for key in rates))
         except ValueError as exc:
             raise ConfigError(f"invalid OpaParams: {exc}") from exc
-    allowed = {"linewidth_hz", "linewidth_convention", "t_ic", "t_oc", "t_loss", "g_over_kappa"}
-    _require_keys(section, allowed, "mach_zehnder.opa")
+    mirrors = ("linewidth_hz", "t_ic", "t_oc", "t_loss", "g_over_kappa")
+    _require_keys(section, {*mirrors, "linewidth_convention"}, where)
     try:
         return opa_from_mirrors(
-            linewidth_hz=float(_get(section, "linewidth_hz", "opa")),
-            t_ic=float(_get(section, "t_ic", "opa")),
-            t_oc=float(_get(section, "t_oc", "opa")),
-            t_loss=float(_get(section, "t_loss", "opa")),
-            g_over_kappa=float(_get(section, "g_over_kappa", "opa")),
+            *(_number(section, key, where) for key in mirrors),
             linewidth_convention=section.get("linewidth_convention", "fwhm"),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid OPA mirror parameters: {exc}") from exc
 
 
-def _parse_source_noise(section: dict) -> NoiseVarianceModel:
+def _parse_source_noise(section: Any) -> NoiseVarianceModel:
     _require_keys(section, {"base", "peaks", "low_freq_excess"}, "source_noise")
+    raw_peaks = section.get("peaks") or []
+    if not isinstance(raw_peaks, list):
+        raise ConfigError(f"'source_noise.peaks' must be a list, got {raw_peaks!r}")
     peaks = []
-    for i, peak in enumerate(section.get("peaks") or []):
-        _require_keys(peak, {"center_hz", "half_width_hz", "excess"}, f"source_noise.peaks[{i}]")
-        peaks.append(
-            (
-                float(_get(peak, "center_hz", f"peaks[{i}]")),
-                float(_get(peak, "half_width_hz", f"peaks[{i}]")),
-                float(_get(peak, "excess", f"peaks[{i}]")),
-            )
-        )
+    keys = ("center_hz", "half_width_hz", "excess")
+    for i, peak in enumerate(raw_peaks):
+        where = f"source_noise.peaks[{i}]"
+        _require_keys(peak, set(keys), where)
+        peaks.append(tuple(_number(peak, key, where) for key in keys))
     low = None
     if section.get("low_freq_excess") is not None:
         lf = section["low_freq_excess"]
-        _require_keys(lf, {"amplitude", "exponent"}, "source_noise.low_freq_excess")
-        low = (float(_get(lf, "amplitude", "low_freq_excess")), float(_get(lf, "exponent", "low_freq_excess")))
+        where = "source_noise.low_freq_excess"
+        _require_keys(lf, {"amplitude", "exponent"}, where)
+        low = (_number(lf, "amplitude", where), _number(lf, "exponent", where))
     try:
-        return NoiseVarianceModel(
-            base=float(section.get("base", 1.0)), peaks=tuple(peaks), low_freq_excess=low
-        )
+        base = _number(section, "base", "source_noise", 1.0)
+        return NoiseVarianceModel(base=base, peaks=tuple(peaks), low_freq_excess=low)
     except ValueError as exc:
         raise ConfigError(f"invalid source_noise: {exc}") from exc
 
@@ -146,17 +160,19 @@ def parse_config(data: dict) -> ScenarioConfig:
     _require_keys(mz, allowed, "mach_zehnder")
     opa = _parse_opa(_get(mz, "opa", "mach_zehnder"))
     try:
-        epsilon2 = BeamsplitterParams(float(_get(mz, "epsilon2", "mach_zehnder")))
+        epsilon2 = BeamsplitterParams(_number(mz, "epsilon2", "mach_zehnder"))
     except ValueError as exc:
         raise ConfigError(f"invalid epsilon2: {exc}") from exc
-    eps1_raw = _get(mz, "epsilon1", "mach_zehnder")
-    mismatch = float(mz.get("epsilon1_mismatch", 0.0))
-    if eps1_raw == "auto":
-        eps1 = epsilon1_plus(epsilon2.epsilon, opa) * (1.0 + mismatch)
+    mismatch = _number(mz, "epsilon1_mismatch", "mach_zehnder", 0.0)
+    if _get(mz, "epsilon1", "mach_zehnder") == "auto":
+        try:
+            eps1 = epsilon1_plus(epsilon2.epsilon, opa) * (1.0 + mismatch)
+        except ArithmeticError as exc:
+            raise ConfigError(f"cannot resolve epsilon1: auto: {exc}") from exc
     else:
         if mismatch:
             raise ConfigError("epsilon1_mismatch requires epsilon1: auto")
-        eps1 = float(eps1_raw)
+        eps1 = _number(mz, "epsilon1", "mach_zehnder")
     try:
         epsilon1 = BeamsplitterParams(eps1)
     except ValueError as exc:
@@ -166,21 +182,23 @@ def parse_config(data: dict) -> ScenarioConfig:
     _require_keys(det_raw, {"pd_efficiency", "visibility", "dark_rel"}, "mach_zehnder.detection")
     try:
         detection = HomodyneParams(
-            pd_efficiency=float(det_raw.get("pd_efficiency", 1.0)),
-            visibility=float(det_raw.get("visibility", 1.0)),
-            dark_rel=float(det_raw.get("dark_rel", 0.0)),
+            pd_efficiency=_number(det_raw, "pd_efficiency", "mach_zehnder.detection", 1.0),
+            visibility=_number(det_raw, "visibility", "mach_zehnder.detection", 1.0),
+            dark_rel=_number(det_raw, "dark_rel", "mach_zehnder.detection", 0.0),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid detection parameters: {exc}") from exc
 
-    modulation = None
-    if mz.get("modulation") is not None:
-        mod = mz["modulation"]
+    # The carrier power and the phase modulation set only the classical mean
+    # field, which no computed spectrum depends on: checked, then dropped.
+    if _number(mz, "carrier_power_w", "mach_zehnder", 0.0) < 0.0:
+        raise ConfigError("mach_zehnder.carrier_power_w must be >= 0")
+    mod = mz.get("modulation")
+    if mod is not None:
         _require_keys(mod, {"frequency_hz", "depth"}, "mach_zehnder.modulation")
-        modulation = (
-            float(_get(mod, "frequency_hz", "modulation")),
-            float(_get(mod, "depth", "modulation")),
-        )
+        _number(mod, "frequency_hz", "mach_zehnder.modulation")
+        if _number(mod, "depth", "mach_zehnder.modulation") < 0.0:
+            raise ConfigError("mach_zehnder.modulation.depth must be >= 0")
 
     src_model = _parse_source_noise(_get(data, "source_noise", "<top level>"))
     try:
@@ -188,32 +206,36 @@ def parse_config(data: dict) -> ScenarioConfig:
             epsilon1=epsilon1,
             epsilon2=epsilon2,
             opa=opa,
-            phi=float(mz.get("phi", 0.0)),
+            phi=_number(mz, "phi", "mach_zehnder", 0.0),
             src_model=src_model,
             detection=detection,
-            propagation_eta=float(mz.get("propagation_eta", 1.0)),
-            carrier_power=float(mz.get("carrier_power_w", 0.0)),
-            modulation=modulation,
+            propagation_eta=_number(mz, "propagation_eta", "mach_zehnder", 1.0),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid mach_zehnder parameters: {exc}") from exc
 
     grid_raw = _get(data, "grid", "<top level>")
     _require_keys(grid_raw, {"min_hz", "max_hz", "points", "spacing"}, "grid")
+    points = _number(grid_raw, "points", "grid")
+    if points != int(points):
+        raise ConfigError(f"grid.points must be an integer, got {grid_raw['points']!r}")
     grid = GridSpec(
-        min_hz=float(_get(grid_raw, "min_hz", "grid")),
-        max_hz=float(_get(grid_raw, "max_hz", "grid")),
-        points=int(_get(grid_raw, "points", "grid")),
+        min_hz=_number(grid_raw, "min_hz", "grid"),
+        max_hz=_number(grid_raw, "max_hz", "grid"),
+        points=int(points),
         spacing=grid_raw.get("spacing", "log"),
     )
 
     outputs = _get(data, "outputs", "<top level>")
     _require_keys(outputs, {"budget", "bare_opa"}, "outputs")
+    for key in ("budget", "bare_opa"):
+        if not isinstance(outputs.get(key, False), bool):
+            raise ConfigError(f"outputs.{key} must be true or false, got {outputs[key]!r}")
     return ScenarioConfig(
         mach_zehnder=params,
         grid=grid,
-        include_budget=bool(outputs.get("budget", True)),
-        include_bare_opa=bool(outputs.get("bare_opa", False)),
+        include_budget=outputs.get("budget", True),
+        include_bare_opa=outputs.get("bare_opa", False),
     )
 
 
@@ -236,7 +258,6 @@ def _paper_base() -> dict:
             "epsilon1_mismatch": 0.0,
             "epsilon2": 0.99,
             "phi": 0.0,
-            "carrier_power_w": 0.06,
             "propagation_eta": 0.95,
             "opa": {
                 # Measured: input/output mirror power reflectivities 0.9997
@@ -251,7 +272,6 @@ def _paper_base() -> dict:
                 "g_over_kappa": -0.3,
             },
             "detection": {"pd_efficiency": 0.92, "visibility": 0.975, "dark_rel": 0.0},
-            "modulation": {"frequency_hz": 20.0e6, "depth": 0.0},
         },
         # Modeled laser spectrum: relaxation-oscillation peak at 1.5 MHz plus
         # a low-frequency rise; shapes are illustrative, not measured.

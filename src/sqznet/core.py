@@ -7,9 +7,9 @@ single sideband angular frequency.  Because the inputs are mutually
 uncorrelated, the homodyne variance is the incoherent sum of
 |coefficient|^2 times the input variance of each source.
 
-Classical mean-field amplitudes (the carrier and any bright modulation
-sidebands) ride along as a separate list and never mix with the
-fluctuation coefficients.
+Only fluctuations are modelled.  The classical mean field (the carrier and
+any bright modulation sidebands) sets no noise spectrum, so it is not
+carried.
 """
 
 from __future__ import annotations
@@ -87,8 +87,7 @@ class LinearField:
 
     ``coeffs`` maps a noise-source label to a pair of complex transfer
     coefficients ``(c_plus, c_minus)`` at sideband angular frequency
-    ``omega``.  ``mean`` lists classical amplitudes in sqrt(W) as
-    (frequency_offset_hz, complex_amplitude) pairs; offset 0 is the carrier.
+    ``omega``.
 
     Instances are treated as immutable; element operations always return
     new fields.
@@ -96,24 +95,16 @@ class LinearField:
 
     omega: float
     coeffs: Mapping[str, tuple[complex, complex]]
-    mean: tuple[tuple[float, complex], ...] = ()
 
     def coefficient(self, source_id: str, q: Quadrature) -> complex:
         pair = self.coeffs.get(source_id)
         return pair[q.index] if pair is not None else 0j
 
-    def carrier_amplitude(self) -> complex:
-        for offset, amplitude in self.mean:
-            if offset == 0.0:
-                return amplitude
-        return 0j
-
     def scaled(self, factor: complex) -> "LinearField":
-        """Multiply every coefficient and mean amplitude by ``factor``."""
+        """Multiply every coefficient by ``factor``."""
         return LinearField(
             omega=self.omega,
             coeffs={k: (factor * cp, factor * cm) for k, (cp, cm) in self.coeffs.items()},
-            mean=tuple((off, factor * amp) for off, amp in self.mean),
         )
 
 
@@ -127,12 +118,7 @@ def combine(ca: complex, a: LinearField, cb: complex, b: LinearField) -> LinearF
     for k, (cp, cm) in b.coeffs.items():
         prev = coeffs.get(k, (0j, 0j))
         coeffs[k] = (prev[0] + cb * cp, prev[1] + cb * cm)
-    means: dict[float, complex] = {}
-    for off, amp in a.mean:
-        means[off] = means.get(off, 0j) + ca * amp
-    for off, amp in b.mean:
-        means[off] = means.get(off, 0j) + cb * amp
-    return LinearField(omega=a.omega, coeffs=coeffs, mean=tuple(sorted(means.items())))
+    return LinearField(omega=a.omega, coeffs=coeffs)
 
 
 def variance(

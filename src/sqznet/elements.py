@@ -1,8 +1,8 @@
 """Optical elements as linear maps on sideband fields.
 
-Source, beamsplitter, phase shifter, OPA cavity, loss, phase modulator and
-homodyne readout.  Sign conventions for the beamsplitter and the phase
-shifter follow the interferometer combination
+Source, beamsplitter, phase shifter, OPA cavity, loss and homodyne readout.
+Sign conventions for the beamsplitter and the phase shifter follow the
+interferometer combination
 
     out = sqrt(eps) * a + exp(-i*phi) * sqrt(1 - eps) * b
 
@@ -137,18 +137,13 @@ class HomodyneParams:
         return self.pd_efficiency * self.visibility**2
 
 
-def source(source_id: str, carrier_power: float, omega: float = 0.0) -> LinearField:
-    """Coherent (or vacuum, for zero power) input field.
+def source(source_id: str, omega: float = 0.0) -> LinearField:
+    """Fresh input field: unit transfer coefficient in both quadratures.
 
-    Unit transfer coefficient in both quadratures and carrier amplitude
-    sqrt(carrier_power) in sqrt(W).
+    Its noise spectrum (vacuum or a noisy laser) is the variance model the
+    readout assigns to ``source_id``.
     """
-    if carrier_power < 0.0:
-        raise ValueError(f"carrier power must be >= 0, got {carrier_power}")
-    mean: tuple[tuple[float, complex], ...] = ()
-    if carrier_power > 0.0:
-        mean = ((0.0, complex(math.sqrt(carrier_power))),)
-    return LinearField(omega=omega, coeffs={source_id: (1 + 0j, 1 + 0j)}, mean=mean)
+    return LinearField(omega=omega, coeffs={source_id: (1 + 0j, 1 + 0j)})
 
 
 def beamsplitter(
@@ -168,7 +163,7 @@ def beamsplitter(
 
 
 def phase_shift(f: LinearField, phi: float) -> LinearField:
-    """Multiply every coefficient and mean amplitude by exp(-i*phi)."""
+    """Multiply every coefficient by exp(-i*phi)."""
     return f.scaled(cmath.exp(-1j * phi))
 
 
@@ -184,8 +179,7 @@ def opa_transfer(
     D = i*Omega + kappa - g; the seed passes with sqrt(4*k_ic*k_oc)/D while
     fresh vacuum enters through the intracavity loss with
     sqrt(4*k_loss*k_oc)/D and through the output coupler with
-    (2*k_oc - i*Omega - kappa + g)/D.  The classical mean field is scaled by
-    the zero-frequency amplitude-quadrature transfer.
+    (2*k_oc - i*Omega - kappa + g)/D.
     """
     if oc_vacuum_id == loss_vacuum_id:
         raise ValueError("oc and loss vacuum ids must differ")
@@ -206,12 +200,7 @@ def opa_transfer(
         (2.0 * p.kappa_oc - 1j * omega - kappa + p.g) / den[0],
         (2.0 * p.kappa_oc - 1j * omega - kappa - p.g) / den[1],
     )
-    mean_scale = s_seed / (kappa - p.g)
-    return LinearField(
-        omega=omega,
-        coeffs=coeffs,
-        mean=tuple((off, mean_scale * amp) for off, amp in seed.mean),
-    )
+    return LinearField(omega=omega, coeffs=coeffs)
 
 
 def loss(f: LinearField, p: LossParams) -> LinearField:
@@ -223,30 +212,7 @@ def loss(f: LinearField, p: LossParams) -> LinearField:
     coeffs = {k: (t * cp, t * cm) for k, (cp, cm) in f.coeffs.items()}
     if r > 0.0:
         coeffs[p.fresh_vacuum_id] = (complex(r), complex(r))
-    return LinearField(
-        omega=f.omega,
-        coeffs=coeffs,
-        mean=tuple((off, t * amp) for off, amp in f.mean),
-    )
-
-
-def modulator(f: LinearField, mod_freq: float, mod_depth: float) -> LinearField:
-    """Weak phase modulation: add bright sidebands at +-mod_freq.
-
-    First-order model: each sideband carries (depth/2) of the carrier
-    amplitude in the phase quadrature.  Fluctuation coefficients are
-    untouched.
-    """
-    if mod_depth < 0.0:
-        raise ValueError(f"modulation depth must be >= 0, got {mod_depth}")
-    carrier = f.carrier_amplitude()
-    if mod_depth == 0.0 or carrier == 0j:
-        return f
-    sb = 1j * 0.5 * mod_depth * abs(carrier)
-    means: dict[float, complex] = dict(f.mean)
-    for off in (mod_freq, -mod_freq):
-        means[off] = means.get(off, 0j) + sb
-    return LinearField(omega=f.omega, coeffs=dict(f.coeffs), mean=tuple(sorted(means.items())))
+    return LinearField(omega=f.omega, coeffs=coeffs)
 
 
 def homodyne_readout(

@@ -35,7 +35,6 @@ from .elements import (
     beamsplitter,
     homodyne_readout,
     loss,
-    modulator,
     opa_transfer,
     phase_shift,
     source,
@@ -58,49 +57,65 @@ class NetworkError(ValueError):
     """Invalid network description (cycle, dangling port, duplicate source)."""
 
 
+class Element:
+    """Network node with ``ports`` inputs and as many outputs.
+
+    ``apply(*ins)`` maps the input fields to the tuple of output fields;
+    ``injected_ids()`` names the fresh noise sources the element adds.
+    """
+
+    ports = 1
+
+    def injected_ids(self) -> tuple[str, ...]:
+        return ()
+
+
 @dataclass(frozen=True)
-class Beamsplitter:
+class Beamsplitter(Element):
     params: BeamsplitterParams
+    ports = 2
+
+    def apply(self, a: LinearField, b: LinearField) -> tuple[LinearField, ...]:
+        return beamsplitter(a, b, self.params)
 
 
 @dataclass(frozen=True)
-class PhaseShifter:
+class PhaseShifter(Element):
     phi: float
 
+    def apply(self, f: LinearField) -> tuple[LinearField, ...]:
+        return (phase_shift(f, self.phi),)
+
 
 @dataclass(frozen=True)
-class Opa:
+class Opa(Element):
     params: OpaParams
     oc_vacuum_id: str
     loss_vacuum_id: str
 
+    def injected_ids(self) -> tuple[str, ...]:
+        return (self.oc_vacuum_id, self.loss_vacuum_id)
+
+    def apply(self, f: LinearField) -> tuple[LinearField, ...]:
+        return (opa_transfer(f, self.params, self.oc_vacuum_id, self.loss_vacuum_id),)
+
 
 @dataclass(frozen=True)
-class LossElement:
+class LossElement(Element):
     params: LossParams
 
+    def injected_ids(self) -> tuple[str, ...]:
+        return (self.params.fresh_vacuum_id,) if self.params.eta < 1.0 else ()
 
-@dataclass(frozen=True)
-class Modulator:
-    mod_freq: float
-    mod_depth: float
-
-
-Element = Beamsplitter | PhaseShifter | Opa | LossElement | Modulator
-
-
-def _port_counts(elem: Element) -> tuple[int, int]:
-    if isinstance(elem, Beamsplitter):
-        return 2, 2
-    return 1, 1
+    def apply(self, f: LinearField) -> tuple[LinearField, ...]:
+        return (loss(f, self.params),)
 
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Fresh input on an open port: noise-source label plus carrier power."""
+    """Fresh input on an open port, named by its noise-source label."""
 
     source_id: str
-    carrier_power: float = 0.0
 
 
 Port = tuple[str, int]
@@ -130,11 +145,9 @@ class NetworkDescription:
             for name in (src_name, dst_name):
                 if name not in self.elements:
                     raise NetworkError(f"edge references unknown element '{name}'")
-            n_in, n_out = _port_counts(self.elements[src_name])
-            if not 0 <= src_port < n_out:
+            if not 0 <= src_port < self.elements[src_name].ports:
                 raise NetworkError(f"element '{src_name}' has no output port {src_port}")
-            n_in, n_out = _port_counts(self.elements[dst_name])
-            if not 0 <= dst_port < n_in:
+            if not 0 <= dst_port < self.elements[dst_name].ports:
                 raise NetworkError(f"element '{dst_name}' has no input port {dst_port}")
             if (src_name, src_port) in seen_out:
                 raise NetworkError(f"output port {(src_name, src_port)} feeds more than one edge")
@@ -146,30 +159,22 @@ class NetworkDescription:
             name, idx = port
             if name not in self.elements:
                 raise NetworkError(f"input assignment references unknown element '{name}'")
-            n_in, _ = _port_counts(self.elements[name])
-            if not 0 <= idx < n_in:
+            if not 0 <= idx < self.elements[name].ports:
                 raise NetworkError(f"element '{name}' has no input port {idx}")
             if port in seen_in:
                 raise NetworkError(f"input port {port} is both wired and assigned a source")
         for name, elem in self.elements.items():
-            n_in, _ = _port_counts(elem)
-            for idx in range(n_in):
+            for idx in range(elem.ports):
                 if (name, idx) not in seen_in and (name, idx) not in self.inputs:
                     raise NetworkError(f"dangling input port {(name, idx)}")
         det_name, det_port = self.detector
         if det_name not in self.elements:
             raise NetworkError(f"detector references unknown element '{det_name}'")
-        _, n_out = _port_counts(self.elements[det_name])
-        if not 0 <= det_port < n_out:
+        if not 0 <= det_port < self.elements[det_name].ports:
             raise NetworkError(f"element '{det_name}' has no output port {det_port}")
         if self.detector in seen_out:
             raise NetworkError(f"detector port {self.detector} is consumed by an edge")
-        ids = [spec.source_id for spec in self.inputs.values()]
-        for elem in self.elements.values():
-            if isinstance(elem, Opa):
-                ids += [elem.oc_vacuum_id, elem.loss_vacuum_id]
-            elif isinstance(elem, LossElement) and elem.params.eta < 1.0:
-                ids.append(elem.params.fresh_vacuum_id)
+        ids = self.source_ids()
         dupes = {i for i in ids if ids.count(i) > 1}
         if dupes:
             raise NetworkError(f"noise sources injected more than once: {sorted(dupes)}")
@@ -198,10 +203,7 @@ class NetworkDescription:
         """All noise-source labels injected anywhere in the network."""
         ids = [spec.source_id for spec in self.inputs.values()]
         for elem in self.elements.values():
-            if isinstance(elem, Opa):
-                ids += [elem.oc_vacuum_id, elem.loss_vacuum_id]
-            elif isinstance(elem, LossElement) and elem.params.eta < 1.0:
-                ids.append(elem.params.fresh_vacuum_id)
+            ids += elem.injected_ids()
         return tuple(ids)
 
     def source_models(
@@ -217,36 +219,20 @@ class NetworkDescription:
         return models
 
 
-def _apply(elem: Element, inputs: Sequence[LinearField]) -> tuple[LinearField, ...]:
-    if isinstance(elem, Beamsplitter):
-        return beamsplitter(inputs[0], inputs[1], elem.params)
-    if isinstance(elem, PhaseShifter):
-        return (phase_shift(inputs[0], elem.phi),)
-    if isinstance(elem, Opa):
-        return (opa_transfer(inputs[0], elem.params, elem.oc_vacuum_id, elem.loss_vacuum_id),)
-    if isinstance(elem, LossElement):
-        return (loss(inputs[0], elem.params),)
-    if isinstance(elem, Modulator):
-        return (modulator(inputs[0], elem.mod_freq, elem.mod_depth),)
-    raise TypeError(f"unknown element type {type(elem).__name__}")
-
-
 def evaluate(net: NetworkDescription, omega: float) -> LinearField:
     """Field at the detector port at sideband angular frequency ``omega``."""
     feeds: dict[Port, Port] = {dst: src for src, dst in net.edges}
     fields: dict[Port, LinearField] = {}
     for name in net._order:  # noqa: SLF001 - cached on the description itself
         elem = net.elements[name]
-        n_in, _ = _port_counts(elem)
         ins: list[LinearField] = []
-        for idx in range(n_in):
+        for idx in range(elem.ports):
             port = (name, idx)
             if port in net.inputs:
-                spec = net.inputs[port]
-                ins.append(source(spec.source_id, spec.carrier_power, omega))
+                ins.append(source(net.inputs[port].source_id, omega))
             else:
                 ins.append(fields[feeds[port]])
-        for out_idx, out_field in enumerate(_apply(elem, ins)):
+        for out_idx, out_field in enumerate(elem.apply(*ins)):
             fields[(name, out_idx)] = out_field
     return fields[net.detector]
 
@@ -262,20 +248,10 @@ class MachZehnderParams:
     src_model: NoiseVarianceModel = VACUUM
     detection: HomodyneParams = field(default_factory=HomodyneParams)
     propagation_eta: float = 1.0
-    carrier_power: float = 0.0
-    modulation: tuple[float, float] | None = None  # (frequency_hz, depth)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.propagation_eta <= 1.0:
             raise ValueError(f"propagation_eta must be in (0, 1], got {self.propagation_eta}")
-        if self.carrier_power < 0.0:
-            raise ValueError(f"carrier_power must be >= 0, got {self.carrier_power}")
-
-    def source_models(self) -> dict[str, NoiseVarianceModel]:
-        models = {SRC: self.src_model, VAC: VACUUM, OC: VACUUM, LOSS: VACUUM}
-        if self.propagation_eta < 1.0:
-            models[PROP_VAC] = VACUUM
-        return models
 
 
 def build_mach_zehnder(
@@ -295,19 +271,8 @@ def build_mach_zehnder(
         "phase": PhaseShifter(p.phi),
         "bs2": Beamsplitter(p.epsilon2),
     }
-    sqz_out: Port = ("opa", 0)
-    if p.modulation is not None:
-        mod_freq, mod_depth = p.modulation
-        elements["mod"] = Modulator(mod_freq, mod_depth)
-    edges: list[tuple[Port, Port]] = [(("bs1", 0), ("opa", 0))]
-    if "mod" in elements:
-        edges.append((sqz_out, ("mod", 0)))
-        sqz_out = ("mod", 0)
-    edges.append((sqz_out, ("bs2", 0)))
-    inputs: dict[Port, SourceSpec] = {
-        ("bs1", 0): SourceSpec(VAC),
-        ("bs1", 1): SourceSpec(SRC, p.carrier_power),
-    }
+    edges: list[tuple[Port, Port]] = [(("bs1", 0), ("opa", 0)), (("opa", 0), ("bs2", 0))]
+    inputs: dict[Port, SourceSpec] = {("bs1", 0): SourceSpec(VAC), ("bs1", 1): SourceSpec(SRC)}
     if block_reference:
         inputs[("phase", 0)] = SourceSpec(REF_BLOCK_VAC)
     else:
@@ -338,7 +303,6 @@ class SpectrumPoint:
 
     frequency_hz: float
     v_plus: float
-    v_minus: float
     v_plus_db: float
     contributions: Mapping[str, float]
 
@@ -367,12 +331,10 @@ def sweep(
         contributions[DETECTION] = 1.0 - eta
         contributions[DARK] = net.detection.dark_rel
         v_plus = homodyne_readout(fld, Quadrature.PLUS, net.detection, sources)
-        v_minus = homodyne_readout(fld, Quadrature.MINUS, net.detection, sources)
         points.append(
             SpectrumPoint(
                 frequency_hz=f_hz,
                 v_plus=v_plus,
-                v_minus=v_minus,
                 v_plus_db=db_rel_shot(v_plus),
                 contributions=contributions,
             )

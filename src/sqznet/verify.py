@@ -61,6 +61,8 @@ def draw_opa(rng: np.random.Generator, passive: bool = False, g_span: float = 0.
 def check_consistency(draws: int = 10_000, seed: int = 0) -> SuiteResult:
     """Zero-frequency triangle: composed network nulls the source coefficient
     at the closed-form reflectivity and lands on the closed-form variance."""
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
     rng = np.random.default_rng(seed)
     tol_coeff, tol_var = 1e-12, 1e-10
     worst = 0.0
@@ -146,7 +148,7 @@ def check_passive_unitarity(
 
 def opa_output_variances(opa: OpaParams, omega: float) -> tuple[float, float]:
     """(V+, V-) of the vacuum-seeded cavity output."""
-    seed_field = source("seed", 0.0, omega)
+    seed_field = source("seed", omega)
     out = opa_transfer(seed_field, opa, "oc", "intracav")
     models = {k: VACUUM for k in ("seed", "oc", "intracav")}
     return (

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from sqznet import OpaParams
-
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-def draw_opa(rng, passive=False, g_span=0.95):
-    rates = rng.uniform(1e5, 1e8, size=3)
-    g = 0.0 if passive else rng.uniform(-g_span * rates.sum(), 0.0)
-    return OpaParams(kappa_ic=rates[0], kappa_oc=rates[1], kappa_loss=rates[2], g=g)

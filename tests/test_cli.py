@@ -1,3 +1,4 @@
+import gzip
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ import yaml
 
 import sqznet
 from sqznet import Quadrature, evaluate, homodyne_readout
-from sqznet.cli import main
+from sqznet.cli import main, write_csv
 from sqznet.config import ConfigError, load_preset, parse_config, _paper_base
 from sqznet.network import SRC, bare_opa_params, build_mach_zehnder
 
@@ -148,6 +149,17 @@ class TestSweepCommand:
         assert run(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert out.exists()
 
+    def test_fig2_matches_stored_reference(self, tmp_path):
+        # The benchmark's stored paper-fig2 CSV, compared row by row as text.
+        reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "fig2.csv.gz"
+        expected = gzip.decompress(reference.read_bytes()).decode("utf-8").splitlines()
+        out = tmp_path / "fig2.csv"
+        write_csv(load_preset("paper-fig2"), str(out))
+        got = out.read_text(encoding="utf-8").splitlines()
+        assert len(got) == len(expected)
+        for i, (row, ref) in enumerate(zip(got, expected)):
+            assert row == ref, f"row {i} differs"
+
     def test_unparseable_yaml_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "broken.yaml"
         cfg_path.write_text("mach_zehnder: [unclosed")
@@ -162,6 +174,13 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 5
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("draws", ["0", "-5"])
+    def test_verify_without_draws_exits_1(self, draws, capsys):
+        assert run(["verify", "--draws", draws]) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err.startswith("error: ")
 
     def test_verify_reproducible(self, capsys):
         run(["verify", "--seed", "11", "--draws", "100"])

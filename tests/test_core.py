@@ -36,7 +36,7 @@ def test_variance_balanced_split_is_unit():
 def test_variance_opa_output_matches_closed_form():
     # Single-port cavity driven at dc with g = -kappa/2: V+ = 1/9.
     opa = OpaParams(kappa_ic=0.0, kappa_oc=1.0, kappa_loss=0.0, g=-0.5)
-    out = opa_transfer(source("seed", 0.0, omega=0.0), opa, "oc", "cav")
+    out = opa_transfer(source("seed", omega=0.0), opa, "oc", "cav")
     models = {"seed": VACUUM, "oc": VACUUM, "cav": VACUUM}
     v = variance(out, Quadrature.PLUS, models)
     assert v == pytest.approx(1.0 / 9.0, rel=1e-12)
@@ -58,7 +58,7 @@ def test_passive_cavity_coefficient_power_is_unit():
     # (2*k_oc - k)^2 + w^2 + 4*k_oc*(k_ic + k_loss) = k^2 + w^2
     opa = OpaParams(kappa_ic=3e6, kappa_oc=5e7, kappa_loss=2e6, g=0.0)
     for omega in (0.0, 1e5, 3e7, 2e8):
-        out = opa_transfer(source("seed", 0.0, omega=omega), opa, "oc", "cav")
+        out = opa_transfer(source("seed", omega=omega), opa, "oc", "cav")
         for q in Quadrature:
             assert sum_coefficient_power(out, q) == pytest.approx(1.0, abs=1e-12)
 

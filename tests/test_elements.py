@@ -16,7 +16,6 @@ from sqznet import (
     homodyne_readout,
     loss,
     loss_chain,
-    modulator,
     opa_from_mirrors,
     opa_transfer,
     phase_shift,
@@ -68,59 +67,39 @@ class TestParams:
 
 
 class TestSource:
-    def test_zero_power_is_vacuum_with_zero_mean(self):
-        f = source("src", 0.0)
+    def test_unit_coefficients(self):
+        f = source("src")
         assert f.coeffs == {"src": (1 + 0j, 1 + 0j)}
-        assert f.mean == ()
-
-    def test_two_watt_carrier(self):
-        f = source("src", 2.0)
-        assert f.carrier_amplitude() == pytest.approx(math.sqrt(2.0))
 
     def test_unit_variance(self):
-        f = source("src", 2.0)
+        f = source("src")
         assert variance(f, Quadrature.PLUS, {"src": VACUUM}) == 1.0
-
-    def test_rejects_negative_power(self):
-        with pytest.raises(ValueError):
-            source("src", -1.0)
 
 
 class TestBeamsplitter:
     def test_mirror_case(self):
-        a = source("a", 1.0)
-        b = source("b", 4.0)
+        a = source("a")
+        b = source("b")
         out1, out2 = beamsplitter(a, b, BeamsplitterParams(1.0))
         assert out1.coeffs["a"] == (1 + 0j, 1 + 0j)
         assert abs(out1.coefficient("b", Quadrature.PLUS)) == 0.0
         assert out2.coefficient("b", Quadrature.PLUS) == -1.0
-        assert out2.carrier_amplitude() == pytest.approx(-2.0)
 
     def test_balanced_dark_port(self):
-        a = source("a", 1.0)
-        b = LinearField(omega=0.0, coeffs={"a": (1 + 0j, 1 + 0j)}, mean=a.mean)
+        a = source("a")
+        b = LinearField(omega=0.0, coeffs={"a": (1 + 0j, 1 + 0j)})
         _, dark = beamsplitter(a, b, BeamsplitterParams(0.5))
         for cp, cm in dark.coeffs.values():
             assert abs(cp) < 1e-15 and abs(cm) < 1e-15
 
     def test_frequency_mismatch_rejected(self):
         with pytest.raises(ValueError, match="frequencies"):
-            beamsplitter(source("a", 0.0, omega=1.0), source("b", 0.0, omega=2.0), BeamsplitterParams(0.5))
-
-    @given(
-        eps=st.floats(min_value=0.0, max_value=1.0),
-        pa=st.floats(min_value=0.0, max_value=4.0),
-        pb=st.floats(min_value=0.0, max_value=4.0),
-    )
-    def test_mean_power_conservation(self, eps, pa, pb):
-        out1, out2 = beamsplitter(source("a", pa), source("b", pb), BeamsplitterParams(eps))
-        total = abs(out1.carrier_amplitude()) ** 2 + abs(out2.carrier_amplitude()) ** 2
-        assert total == pytest.approx(pa + pb, abs=1e-12)
+            beamsplitter(source("a", omega=1.0), source("b", omega=2.0), BeamsplitterParams(0.5))
 
     @given(eps=st.floats(min_value=0.0, max_value=1.0))
     def test_involution_reconstructs_inputs(self, eps):
         # The 2x2 map is symmetric orthogonal, so applying it twice is identity.
-        a, b = source("a", 1.0), source("b", 2.0)
+        a, b = source("a"), source("b")
         p = BeamsplitterParams(eps)
         back_a, back_b = beamsplitter(*beamsplitter(a, b, p), p)
         assert back_a.coefficient("a", Quadrature.PLUS) == pytest.approx(1.0, abs=1e-12)
@@ -130,7 +109,7 @@ class TestBeamsplitter:
 
     @given(eps=st.floats(min_value=0.0, max_value=1.0))
     def test_coefficient_power_conserved(self, eps):
-        a, b = source("a", 0.0), source("b", 0.0)
+        a, b = source("a"), source("b")
         out1, out2 = beamsplitter(a, b, BeamsplitterParams(eps))
         for q in Quadrature:
             before = sum_coefficient_power(a, q) + sum_coefficient_power(b, q)
@@ -140,17 +119,17 @@ class TestBeamsplitter:
 
 class TestPhaseShift:
     def test_zero_is_identity(self):
-        f = source("a", 1.0)
+        f = source("a")
         assert phase_shift(f, 0.0).coeffs == f.coeffs
 
     def test_pi_twice_is_identity(self):
-        f = source("a", 1.0)
+        f = source("a")
         g = phase_shift(phase_shift(f, math.pi), math.pi)
         assert g.coefficient("a", Quadrature.PLUS) == pytest.approx(1.0, abs=1e-15)
 
     @given(phi=st.floats(min_value=-10.0, max_value=10.0))
     def test_variance_invariant(self, phi):
-        f = source("a", 1.0)
+        f = source("a")
         models = {"a": VACUUM}
         for q in Quadrature:
             assert variance(phase_shift(f, phi), q, models) == pytest.approx(1.0, abs=1e-12)
@@ -160,19 +139,19 @@ class TestPhaseShift:
 class TestOpa:
     def test_impedance_matched_passive_cavity(self):
         opa = OpaParams(kappa_ic=0.5, kappa_oc=0.5, kappa_loss=0.0, g=0.0)
-        out = opa_transfer(source("seed", 0.0, 0.0), opa, "oc", "cav")
+        out = opa_transfer(source("seed", 0.0), opa, "oc", "cav")
         assert out.coefficient("seed", Quadrature.PLUS) == pytest.approx(1.0, abs=1e-15)
         assert abs(out.coefficient("oc", Quadrature.PLUS)) < 1e-15
 
     def test_passive_coefficient_power_unit(self):
         opa = OpaParams(kappa_ic=2e6, kappa_oc=4e7, kappa_loss=5e6, g=0.0)
         for omega in (0.0, 1e6, 1e8):
-            out = opa_transfer(source("seed", 0.0, omega), opa, "oc", "cav")
+            out = opa_transfer(source("seed", omega), opa, "oc", "cav")
             assert sum_coefficient_power(out, Quadrature.PLUS) == pytest.approx(1.0, abs=1e-12)
 
     def test_quadrature_duality_variances(self):
         opa = OpaParams(kappa_ic=0.0, kappa_oc=1.0, kappa_loss=0.0, g=-0.5)
-        out = opa_transfer(source("seed", 0.0, 0.0), opa, "oc", "cav")
+        out = opa_transfer(source("seed", 0.0), opa, "oc", "cav")
         models = {"seed": VACUUM, "oc": VACUUM, "cav": VACUUM}
         vp = variance(out, Quadrature.PLUS, models)
         vm = variance(out, Quadrature.MINUS, models)
@@ -186,7 +165,7 @@ class TestOpa:
             g = rng.uniform(-0.95 * kappa, -1e-3 * kappa)
             omega = rng.uniform(0.0, 5e8)
             opa = OpaParams(0.0, kappa, 0.0, g)
-            out = opa_transfer(source("seed", 0.0, omega), opa, "oc", "cav")
+            out = opa_transfer(source("seed", omega), opa, "oc", "cav")
             models = {"seed": VACUUM, "oc": VACUUM, "cav": VACUUM}
             vp = variance(out, Quadrature.PLUS, models)
             vm = variance(out, Quadrature.MINUS, models)
@@ -196,12 +175,12 @@ class TestOpa:
             assert vp * vm == pytest.approx(1.0, abs=1e-12)
 
     def test_uncertainty_product_with_losses(self, rng):
-        from conftest import draw_opa
+        from sqznet.verify import draw_opa
 
         for _ in range(200):
             opa = draw_opa(rng)
             omega = rng.uniform(0.0, 5e8)
-            out = opa_transfer(source("seed", 0.0, omega), opa, "oc", "cav")
+            out = opa_transfer(source("seed", omega), opa, "oc", "cav")
             models = {"seed": VACUUM, "oc": VACUUM, "cav": VACUUM}
             product = variance(out, Quadrature.PLUS, models) * variance(
                 out, Quadrature.MINUS, models
@@ -210,25 +189,20 @@ class TestOpa:
 
     def test_duplicate_injection_rejected(self):
         opa = OpaParams(1.0, 1.0, 0.0, 0.0)
-        seeded = source("oc", 0.0, 0.0)
+        seeded = source("oc", 0.0)
         with pytest.raises(ValueError, match="oc"):
             opa_transfer(seeded, opa, "oc", "cav")
-
-    def test_mean_field_deamplification(self):
-        opa = OpaParams(kappa_ic=0.5, kappa_oc=0.5, kappa_loss=0.0, g=-0.5)
-        out = opa_transfer(source("seed", 1.0, 0.0), opa, "oc", "cav")
-        assert out.carrier_amplitude() == pytest.approx(1.0 / 1.5, rel=1e-12)
 
 
 class TestLoss:
     def test_unity_eta_is_identity(self):
-        f = source("a", 1.0)
+        f = source("a")
         out = loss(f, LossParams(1.0, "v"))
         assert out.coeffs == f.coeffs
         assert "v" not in out.coeffs
 
     def test_shot_noise_invariant(self):
-        f = source("a", 0.0)
+        f = source("a")
         out = loss(f, LossParams(0.3, "v"))
         assert variance(out, Quadrature.PLUS, {"a": VACUUM, "v": VACUUM}) == pytest.approx(
             1.0, abs=1e-12
@@ -237,14 +211,14 @@ class TestLoss:
     def test_squeezed_input_degraded(self):
         # V -> eta*V + (1 - eta): 0.5 at eta = 0.73 gives 0.635.
         opa = OpaParams(0.0, 1.0, 0.0, -(3.0 - 2.0 * math.sqrt(2.0)))
-        out = opa_transfer(source("seed", 0.0, 0.0), opa, "oc", "cav")
+        out = opa_transfer(source("seed", 0.0), opa, "oc", "cav")
         models = {"seed": VACUUM, "oc": VACUUM, "cav": VACUUM, "v": VACUUM}
         assert variance(out, Quadrature.PLUS, models) == pytest.approx(0.5, rel=1e-9)
         lossy = loss(out, LossParams(0.73, "v"))
         assert variance(lossy, Quadrature.PLUS, models) == pytest.approx(0.635, rel=1e-9)
 
     def test_duplicate_vacuum_rejected(self):
-        f = source("a", 0.0)
+        f = source("a")
         with pytest.raises(ValueError, match="'a'"):
             loss(f, LossParams(0.5, "a"))
 
@@ -253,7 +227,7 @@ class TestLoss:
     @example(eta=0.9999999999999999, g=-0.5)
     def test_contraction_toward_shot_noise(self, eta, g):
         opa = OpaParams(0.0, 1.0, 0.0, g)
-        out = opa_transfer(source("seed", 0.0, 0.0), opa, "oc", "cav")
+        out = opa_transfer(source("seed", 0.0), opa, "oc", "cav")
         models = {"seed": VACUUM, "oc": VACUUM, "cav": VACUUM, "v": VACUUM}
         for q in Quadrature:
             v = variance(out, q, models)
@@ -263,40 +237,20 @@ class TestLoss:
                 assert abs(v_lossy - 1.0) < abs(v - 1.0)
 
 
-class TestModulator:
-    def test_zero_depth_identity(self):
-        f = source("a", 1.0)
-        assert modulator(f, 20e6, 0.0) is f
-
-    def test_sideband_amplitudes(self):
-        f = source("a", 1.0)
-        out = modulator(f, 20e6, 0.1)
-        sidebands = {off: amp for off, amp in out.mean if off != 0.0}
-        assert set(sidebands) == {20e6, -20e6}
-        for amp in sidebands.values():
-            assert abs(amp) == pytest.approx(0.05, rel=1e-12)
-            assert amp.real == pytest.approx(0.0, abs=1e-15)  # phase quadrature
-
-    def test_fluctuations_untouched(self):
-        f = source("a", 1.0)
-        out = modulator(f, 20e6, 0.3)
-        assert out.coeffs == f.coeffs
-
-
 class TestHomodyne:
     def test_perfect_detector(self):
-        f = source("a", 0.0)
+        f = source("a")
         assert homodyne_readout(f, Quadrature.PLUS, HomodyneParams(), {"a": VACUUM}) == 1.0
 
     def test_shot_noise_invariant_under_inefficiency(self):
-        f = source("a", 0.0)
+        f = source("a")
         p = HomodyneParams(pd_efficiency=0.92, visibility=0.975)
         assert homodyne_readout(f, Quadrature.PLUS, p, {"a": VACUUM}) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_dark_noise_adds(self):
-        f = source("a", 0.0)
+        f = source("a")
         p = HomodyneParams(pd_efficiency=0.5, visibility=0.9, dark_rel=0.1)
         assert homodyne_readout(f, Quadrature.PLUS, p, {"a": VACUUM}) == pytest.approx(1.1)
 
