@@ -13,7 +13,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 
-from .core import NoiseVarianceModel, Quadrature
+from .core import TWO_PI, NoiseVarianceModel, Quadrature
 from .elements import BeamsplitterParams, OpaParams, homodyne_readout
 from .network import (
     SRC,
@@ -228,11 +228,12 @@ def bare_source_variance(
     """Detected variance over ``grid_hz`` with both splitters bypassed.
 
     The bare-OPA network has the same noise sources as the interferometer,
-    so ``sources`` may be the interferometer's own models.
+    so ``sources`` may be the interferometer's own models.  One network walk
+    covers the whole grid.
     """
+    import numpy as np
+
     net = build_mach_zehnder(bare_opa_params(p))
-    readout = net.detection
-    return [
-        homodyne_readout(evaluate(net, 2.0 * math.pi * f), Quadrature.PLUS, readout, sources)
-        for f in grid_hz
-    ]
+    omega = TWO_PI * np.asarray(grid_hz, dtype=float)
+    v = homodyne_readout(evaluate(net, omega), Quadrature.PLUS, net.detection, sources)
+    return np.broadcast_to(v, omega.shape).tolist()

@@ -15,12 +15,6 @@ from .config import ConfigError, PRESETS, GridSpec, ScenarioConfig, load_config,
 from .network import DARK, DETECTION, SRC, build_mach_zehnder, sweep
 
 
-# 12 significant digits: independent rounding of the budget columns must
-# stay well inside the 1e-9 closure guarantee on the formatted values.
-def _fmt(x: float) -> str:
-    return f"{x:.11e}"
-
-
 def write_csv(cfg: ScenarioConfig, out_path: str) -> None:
     """Sweep the scenario and write one CSV row per grid frequency.
 
@@ -39,15 +33,17 @@ def write_csv(cfg: ScenarioConfig, out_path: str) -> None:
         header.append("v_bare_opa")
         bare = bare_source_variance(cfg.mach_zehnder, grid, models)
     header += budget_cols
-    lines = [",".join(header)]
-    for i, pt in enumerate(points):
-        row = [_fmt(pt.frequency_hz), _fmt(pt.v_plus), _fmt(pt.v_plus_db), _fmt(1.0)]
-        if cfg.include_bare_opa:
-            row.append(_fmt(bare[i]))
-        row += [_fmt(pt.contributions[c]) for c in budget_cols]
-        lines.append(",".join(row))
+    # 12 significant digits: independent rounding of the budget columns must
+    # stay well inside the 1e-9 closure guarantee on the formatted values.
+    row_fmt = ",".join(["%.11e"] * len(header)) + "\n"
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for i, pt in enumerate(points):
+            row = [pt.frequency_hz, pt.v_plus, pt.v_plus_db, 1.0]
+            if cfg.include_bare_opa:
+                row.append(bare[i])
+            row += [pt.contributions[c] for c in budget_cols]
+            fh.write(row_fmt % tuple(row))
 
 
 def _build_parser() -> argparse.ArgumentParser:

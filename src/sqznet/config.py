@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-import yaml
-
 from .analysis import epsilon1_plus
 from .core import NoiseVarianceModel
 from .elements import BeamsplitterParams, HomodyneParams, OpaParams, opa_from_mirrors
@@ -118,7 +116,9 @@ def _parse_opa(section: Any) -> OpaParams:
 
 def _parse_source_noise(section: Any) -> NoiseVarianceModel:
     _require_keys(section, {"base", "peaks", "low_freq_excess"}, "source_noise")
-    raw_peaks = section.get("peaks") or []
+    raw_peaks = section.get("peaks")
+    if raw_peaks is None:
+        raw_peaks = []
     if not isinstance(raw_peaks, list):
         raise ConfigError(f"'source_noise.peaks' must be a list, got {raw_peaks!r}")
     peaks = []
@@ -178,7 +178,9 @@ def parse_config(data: dict) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid epsilon1: {exc}") from exc
 
-    det_raw = mz.get("detection") or {}
+    det_raw = mz.get("detection")
+    if det_raw is None:
+        det_raw = {}
     _require_keys(det_raw, {"pd_efficiency", "visibility", "dark_rel"}, "mach_zehnder.detection")
     try:
         detection = HomodyneParams(
@@ -241,6 +243,10 @@ def parse_config(data: dict) -> ScenarioConfig:
 
 def load_config(path: str) -> ScenarioConfig:
     """Parse and validate a YAML scenario file."""
+    # Imported here: presets and designs never read YAML, so every other
+    # start skips the parser's import.
+    import yaml
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = yaml.safe_load(fh)

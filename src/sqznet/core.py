@@ -3,9 +3,14 @@
 An optical field at one point of a network is represented as a linear
 combination of independent noise inputs: for every noise source the field
 stores one complex transfer coefficient per quadrature, evaluated at a
-single sideband angular frequency.  Because the inputs are mutually
-uncorrelated, the homodyne variance is the incoherent sum of
-|coefficient|^2 times the input variance of each source.
+sideband angular frequency.  Because the inputs are mutually uncorrelated,
+the homodyne variance is the incoherent sum of |coefficient|^2 times the
+input variance of each source.
+
+The frequency may be a float or a numpy array over a whole grid: every
+operation here uses only arithmetic that works on both, so a coefficient
+is then an array over that grid.  This module never imports numpy itself;
+a float frequency keeps the whole computation in plain Python.
 
 Only fluctuations are modelled.  The classical mean field (the carrier and
 any bright modulation sidebands) sets no noise spectrum, so it is not
@@ -62,8 +67,11 @@ class NoiseVarianceModel:
                 raise ValueError(f"low-frequency amplitude must be >= 0, got {amplitude}")
             object.__setattr__(self, "low_freq_excess", (float(amplitude), float(exponent)))
 
-    def evaluate(self, omega: float) -> float:
-        """Variance at sideband angular frequency ``omega`` (rad/s)."""
+    def evaluate(self, omega):
+        """Variance at sideband angular frequency ``omega`` (rad/s).
+
+        ``omega`` may be a float or an array; the result has its shape.
+        """
         f = abs(omega) / TWO_PI
         v = self.base
         for center, half_width, excess in self.peaks:
@@ -71,7 +79,8 @@ class NoiseVarianceModel:
         if self.low_freq_excess is not None:
             amplitude, exponent = self.low_freq_excess
             if amplitude > 0.0:
-                if f == 0.0:
+                zero = f == 0.0  # a bool, or an array of them over a grid
+                if zero.any() if hasattr(zero, "any") else zero:
                     raise ValueError("low-frequency excess is undefined at zero frequency")
                 v += amplitude / f**exponent
         return v
@@ -87,7 +96,8 @@ class LinearField:
 
     ``coeffs`` maps a noise-source label to a pair of complex transfer
     coefficients ``(c_plus, c_minus)`` at sideband angular frequency
-    ``omega``.
+    ``omega``.  With an array ``omega`` a coefficient is an array over it,
+    or a scalar where it does not depend on frequency.
 
     Instances are treated as immutable; element operations always return
     new fields.
@@ -110,7 +120,9 @@ class LinearField:
 
 def combine(ca: complex, a: LinearField, cb: complex, b: LinearField) -> LinearField:
     """Linear combination ``ca*a + cb*b`` of two fields at the same frequency."""
-    if a.omega != b.omega:
+    # Identity first: fields of one evaluation share one frequency object,
+    # and comparing two arrays by value gives no single truth value.
+    if a.omega is not b.omega and a.omega != b.omega:
         raise ValueError(f"cannot combine fields at different frequencies ({a.omega} vs {b.omega})")
     coeffs: dict[str, tuple[complex, complex]] = {}
     for k, (cp, cm) in a.coeffs.items():
@@ -128,7 +140,8 @@ def variance(
 ) -> float:
     """Homodyne variance ``sum_j |c_j|^2 V_j(omega)`` in quadrature ``q``.
 
-    Strictly the incoherent sum: all noise inputs are uncorrelated.
+    Strictly the incoherent sum: all noise inputs are uncorrelated.  Over a
+    frequency array the result is an array, or a scalar if no term varies.
     """
     i = q.index
     total = 0.0

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,18 @@ from sqznet.network import SRC, bare_opa_params, build_mach_zehnder
 
 def run(argv):
     return main(argv)
+
+
+def within_one_step(cell: str, ref_cell: str) -> bool:
+    """Printed values equal, or one step of the reference's last digit apart.
+
+    Exact decimal arithmetic: binary floats parsed from the two strings can
+    differ by slightly more than one step.
+    """
+    if cell == ref_cell:
+        return True
+    ref = Decimal(ref_cell)
+    return abs(Decimal(cell) - ref) <= Decimal(1).scaleb(ref.as_tuple().exponent)
 
 
 class TestConfigParsing:
@@ -160,6 +173,24 @@ class TestSweepCommand:
         for i, (row, ref) in enumerate(zip(got, expected)):
             assert row == ref, f"row {i} differs"
 
+    def test_fig3_matches_stored_reference(self, tmp_path):
+        # Reference written by the scalar per-point sweep.  The grid walk
+        # divides complex numbers and takes their magnitudes in numpy, which
+        # can differ from CPython by one ulp, so a printed value may flip by
+        # one step of its 12th significant digit; anything more is a change.
+        reference = Path(__file__).resolve().parent / "reference" / "paper-fig3.csv.gz"
+        expected = gzip.decompress(reference.read_bytes()).decode("utf-8").splitlines()
+        out = tmp_path / "fig3.csv"
+        write_csv(load_preset("paper-fig3"), str(out))
+        got = out.read_text(encoding="utf-8").splitlines()
+        assert len(got) == len(expected)
+        assert got[0] == expected[0]
+        for i, (row, ref) in enumerate(zip(got, expected)):
+            cells, ref_cells = row.split(","), ref.split(",")
+            assert len(cells) == len(ref_cells), f"row {i}"
+            for cell, ref_cell in zip(cells, ref_cells):
+                assert within_one_step(cell, ref_cell), f"row {i}: {cell} vs {ref_cell}"
+
     def test_unparseable_yaml_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "broken.yaml"
         cfg_path.write_text("mach_zehnder: [unclosed")
@@ -191,16 +222,32 @@ class TestVerifyCommand:
 
 
 class TestImportPath:
-    def test_cli_import_loads_no_numerical_stack(self):
-        # Every CLI start pays for what sqznet.cli imports; verify imports
-        # numpy itself, when it runs.
+    def _loaded(self, code: str) -> str:
+        """``code`` run in a fresh interpreter, then the heavy modules it loaded."""
         src = str(Path(sqznet.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        code = (
-            "import sqznet, sqznet.cli, sys; "
-            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
-        )
+        code += "; print(sorted(m for m in ('numpy', 'scipy', 'yaml') if m in sys.modules))"
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip()
+
+    def test_cli_import_loads_no_numerical_stack(self):
+        # Every CLI start pays for what sqznet.cli imports; verify imports
+        # numpy itself, when it runs.
+        assert self._loaded("import sqznet, sqznet.cli, sys") == "[]"
+
+    def test_scalar_path_loads_no_numerical_stack(self):
+        # A preset, a network and the single-frequency solves stay in plain
+        # Python: numpy loads only for a grid sweep, yaml only for a file.
+        code = (
+            "import sqznet, sqznet.cli, sys, math; "
+            "from sqznet.config import load_preset; "
+            "from sqznet.network import build_mach_zehnder; "
+            "p = load_preset('paper-fig2').mach_zehnder; "
+            "build_mach_zehnder(p); "
+            "omega = 2 * math.pi * 1e6; "
+            "sqznet.solve_cancellation_numeric(p, omega); "
+            "sqznet.suppression_db(p, omega, 0.01)"
+        )
+        assert self._loaded(code) == "[]"

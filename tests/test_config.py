@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sqznet import HomodyneParams
 from sqznet.config import ConfigError, ScenarioConfig, _paper_base, parse_config
 
 NAN = math.nan
@@ -45,6 +46,10 @@ BAD_VALUES = {
     "grid.points-fractional": (("grid", "points"), 2.7),
     "outputs.budget-string": (("outputs", "budget"), "no"),
     "outputs.bare_opa-string": (("outputs", "bare_opa"), "no"),
+    "detection-zero": (("mach_zehnder", "detection"), 0),
+    "detection-empty-string": (("mach_zehnder", "detection"), ""),
+    "peaks-empty-mapping": (("source_noise", "peaks"), {}),
+    "peaks-zero": (("source_noise", "peaks"), 0),
 }
 
 
@@ -63,6 +68,15 @@ def test_mean_field_keys_accepted_and_ignored():
     data["mach_zehnder"]["carrier_power_w"] = 0.06
     data["mach_zehnder"]["modulation"] = {"frequency_hz": 20e6, "depth": 0.1}
     assert parse_config(data) == parse_config(_paper_base())
+
+
+def test_null_sections_mean_absent():
+    data = _paper_base()
+    data["mach_zehnder"]["detection"] = None
+    data["source_noise"]["peaks"] = None
+    cfg = parse_config(data)
+    assert cfg.mach_zehnder.detection == HomodyneParams()
+    assert cfg.mach_zehnder.src_model.peaks == ()
 
 
 def test_numeric_strings_accepted():

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -123,3 +124,11 @@ def test_variance_model_never_below_base(base, center, width, excess, f):
 def test_variance_model_rejects_negative_base():
     with pytest.raises(ValueError):
         NoiseVarianceModel(base=-0.1)
+
+
+@pytest.mark.parametrize("omega", [0.0, np.array([0.0, 1e5]), np.array([1e5, 2e5, 0.0])])
+def test_variance_model_low_frequency_term_rejects_zero(omega):
+    # A float frequency and a grid holding zero anywhere fail alike.
+    model = NoiseVarianceModel(low_freq_excess=(1e12, 2.0))
+    with pytest.raises(ValueError, match="zero frequency"):
+        model.evaluate(omega)

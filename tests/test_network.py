@@ -13,6 +13,7 @@ from sqznet import (
     NetworkDescription,
     NetworkError,
     NoiseVarianceModel,
+    OpaParams,
     Quadrature,
     SourceSpec,
     epsilon1_plus,
@@ -24,6 +25,8 @@ from sqznet import (
 )
 from sqznet.config import load_preset
 from sqznet.network import (
+    DARK,
+    DETECTION,
     LOSS,
     OC,
     SRC,
@@ -193,6 +196,55 @@ class TestSweep:
             eta * variance(fld, Quadrature.MINUS, models) + (1.0 - eta) + p.detection.dark_rel,
             rel=1e-15,
         )
+
+    def test_grid_matches_points_with_dark_noise(self, rng):
+        # One walk over the grid against the scalar walk at each point, on
+        # designs where every budget entry is nonzero, dark noise included.
+        def u(lo, hi):
+            return float(rng.uniform(lo, hi))
+
+        for _ in range(50):
+            o = draw_opa(rng)
+            opa = OpaParams(float(o.kappa_ic), float(o.kappa_oc), float(o.kappa_loss), float(o.g))
+            detection = HomodyneParams(u(0.8, 1.0), u(0.9, 1.0), 0.1 - u(0.0, 0.1))
+            src_model = NoiseVarianceModel(
+                base=1.0,
+                peaks=((u(1e5, 5e6), u(1e4, 3e5), u(1e2, 1e5)),),
+                low_freq_excess=(10.0 ** u(12.0, 16.0), 2.0),
+            )
+            p = mz_params(
+                u(0.0, 1.0),
+                u(0.01, 0.99),
+                u(-math.pi, math.pi),
+                opa,
+                src_model=src_model,
+                detection=detection,
+                propagation_eta=u(0.7, 1.0),
+            )
+            net = build_mach_zehnder(p)
+            models = net.source_models({SRC: src_model})
+            grid = np.unique(10.0 ** rng.uniform(3.0, 7.5, rng.integers(1, 40)))
+            points = sweep(net, grid.tolist(), models)
+            assert [pt.frequency_hz for pt in points] == grid.tolist()
+            eta = detection.eta_eff
+            for pt in points:
+                fld = evaluate(net, 2 * math.pi * pt.frequency_hz)
+                v = homodyne_readout(fld, Quadrature.PLUS, detection, models)
+                expected = {
+                    sid: eta * abs(cp) ** 2 * models[sid].evaluate(fld.omega)
+                    for sid, (cp, _) in fld.coeffs.items()
+                }
+                expected[DETECTION] = 1.0 - eta
+                expected[DARK] = detection.dark_rel
+                # Plain Python floats, as the per-point sweep returned.
+                values = (pt.frequency_hz, pt.v_plus, pt.v_plus_db, *pt.contributions.values())
+                assert {type(x) for x in values} == {float}
+                assert abs(pt.v_plus - v) <= 1e-13 * v
+                assert pt.v_plus_db == pytest.approx(10.0 * math.log10(v), rel=1e-13, abs=1e-13)
+                assert pt.contributions.keys() == expected.keys()
+                for sid, want in expected.items():
+                    assert abs(pt.contributions[sid] - want) <= 1e-13 * v, sid
+                assert abs(math.fsum(pt.contributions.values()) - pt.v_plus) <= 1e-12 * pt.v_plus
 
     def test_grid_validation(self, rng):
         net = build_mach_zehnder(mz_params(0.3, 0.9, 0.0, draw_opa(rng)))
