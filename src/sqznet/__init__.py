@@ -9,11 +9,8 @@ noise while preserving squeezing.
 
 from .analysis import (
     CancellationSolution,
-    NoiseBudget,
-    dark_port_power,
     epsilon1_plus,
     loss_chain,
-    noise_budget,
     solve_cancellation_numeric,
     squeezed_vacuum_variance,
     squeezing_bands,
@@ -29,27 +26,21 @@ from .core import (
     variance,
 )
 from .elements import (
-    BeamsplitterParams,
+    Beamsplitter,
     HomodyneParams,
-    LossParams,
+    LossElement,
+    Opa,
     OpaParams,
-    beamsplitter,
+    PhaseShifter,
     homodyne_readout,
-    loss,
     opa_from_mirrors,
     opa_transfer,
-    phase_shift,
     source,
 )
 from .network import (
-    Beamsplitter,
-    LossElement,
     MachZehnderParams,
     NetworkDescription,
     NetworkError,
-    Opa,
-    PhaseShifter,
-    SourceSpec,
     SpectrumPoint,
     build_mach_zehnder,
     evaluate,
@@ -57,38 +48,29 @@ from .network import (
 )
 
 __all__ = [
-    "BeamsplitterParams",
     "Beamsplitter",
     "CancellationSolution",
     "HomodyneParams",
     "LinearField",
     "LossElement",
-    "LossParams",
     "MachZehnderParams",
     "NetworkDescription",
     "NetworkError",
-    "NoiseBudget",
     "NoiseVarianceModel",
     "Opa",
     "OpaParams",
     "PhaseShifter",
     "Quadrature",
-    "SourceSpec",
     "SpectrumPoint",
     "VACUUM",
-    "beamsplitter",
     "build_mach_zehnder",
-    "dark_port_power",
     "db_rel_shot",
     "epsilon1_plus",
     "evaluate",
     "homodyne_readout",
-    "loss",
     "loss_chain",
-    "noise_budget",
     "opa_from_mirrors",
     "opa_transfer",
-    "phase_shift",
     "solve_cancellation_numeric",
     "source",
     "squeezed_vacuum_variance",

@@ -14,7 +14,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 
 from .core import TWO_PI, NoiseVarianceModel, Quadrature
-from .elements import BeamsplitterParams, OpaParams, homodyne_readout
+from .elements import Beamsplitter, OpaParams, homodyne_readout
 from .network import (
     SRC,
     HomodyneParams,
@@ -41,15 +41,6 @@ class CancellationSolution:
             raise ValueError(f"residual must be >= 0, got {self.residual}")
 
 
-@dataclass(frozen=True)
-class NoiseBudget:
-    """Per-source decomposition of the detected variance at one frequency."""
-
-    frequency_hz: float
-    total: float
-    entries: tuple[tuple[str, float, float], ...]  # (source, contribution, share %)
-
-
 def epsilon1_plus(epsilon2: float, opa: OpaParams) -> float:
     """First-splitter reflectivity cancelling the source at zero frequency.
 
@@ -71,15 +62,17 @@ def squeezed_vacuum_variance(epsilon2: float, opa: OpaParams) -> float:
     return 1.0 + epsilon2 * 4.0 * opa.kappa_oc * opa.g / (opa.kappa - opa.g) ** 2
 
 
-def _src_coefficient(p: MachZehnderParams, eps1: float, phi: float, omega: float) -> complex:
+def _src_coefficient(
+    p: MachZehnderParams, eps1: float, phi: float, omega: float, block_reference: bool = False
+) -> complex:
     bare = replace(
         p,
-        epsilon1=BeamsplitterParams(eps1),
+        epsilon1=Beamsplitter(eps1),
         phi=phi,
         propagation_eta=1.0,
         detection=HomodyneParams(),
     )
-    fld = evaluate(build_mach_zehnder(bare), omega)
+    fld = evaluate(build_mach_zehnder(bare, block_reference), omega)
     return fld.coefficient(SRC, Quadrature.PLUS)
 
 
@@ -126,17 +119,8 @@ def suppression_db(p: MachZehnderParams, omega: float, mismatch: float) -> float
     if mismatch == 0.0:
         return math.inf
     eps1 = min(sol.epsilon1 * (1.0 + mismatch), 1.0)
-    operated = replace(
-        p,
-        epsilon1=BeamsplitterParams(eps1),
-        phi=sol.phi,
-        propagation_eta=1.0,
-        detection=HomodyneParams(),
-    )
-    c_cancel = evaluate(build_mach_zehnder(operated), omega).coefficient(SRC, Quadrature.PLUS)
-    c_blocked = evaluate(build_mach_zehnder(operated, block_reference=True), omega).coefficient(
-        SRC, Quadrature.PLUS
-    )
+    c_cancel = _src_coefficient(p, eps1, sol.phi, omega)
+    c_blocked = _src_coefficient(p, eps1, sol.phi, omega, block_reference=True)
     p_cancel = abs(c_cancel) ** 2
     p_blocked = abs(c_blocked) ** 2
     if p_cancel == 0.0:
@@ -158,32 +142,11 @@ def loss_chain(etas: Sequence[float]) -> float:
     return composite
 
 
-def dark_port_power(p1: float, p2: float, epsilon2: float, visibility: float) -> float:
-    """Residual carrier power at the destructive output of the second splitter.
-
-    eps2*p1 + (1-eps2)*p2 - 2*visibility*sqrt(eps2*(1-eps2)*p1*p2); imperfect
-    visibility reduces only the interference cross-term.
-    """
-    if p1 < 0.0 or p2 < 0.0:
-        raise ValueError("powers must be >= 0")
-    if not 0.0 <= epsilon2 <= 1.0:
-        raise ValueError(f"epsilon2 must be in [0, 1], got {epsilon2}")
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must be in [0, 1], got {visibility}")
-    return (
-        epsilon2 * p1
-        + (1.0 - epsilon2) * p2
-        - 2.0 * visibility * math.sqrt(epsilon2 * (1.0 - epsilon2) * p1 * p2)
-    )
-
-
-def squeezing_bands(
-    spectrum: Sequence[SpectrumPoint], shot_ref: float = 1.0
-) -> list[tuple[float, float]]:
-    """Maximal frequency intervals where the total variance is sub-shot.
+def squeezing_bands(spectrum: Sequence[SpectrumPoint]) -> list[tuple[float, float]]:
+    """Maximal frequency intervals where the total variance is sub-shot (< 1).
 
     Band edges interior to the grid are linearly interpolated at the
-    ``shot_ref`` crossing; edges at the grid boundary are clamped to it.
+    shot-noise crossing; edges at the grid boundary are clamped to it.
     """
     if any(b.frequency_hz <= a.frequency_hz for a, b in zip(spectrum, spectrum[1:])):
         raise ValueError("spectrum must be sorted by increasing frequency")
@@ -192,12 +155,12 @@ def squeezing_bands(
     prev: SpectrumPoint | None = None
 
     def crossing(a: SpectrumPoint, b: SpectrumPoint) -> float:
-        return a.frequency_hz + (shot_ref - a.v_plus) * (b.frequency_hz - a.frequency_hz) / (
+        return a.frequency_hz + (1.0 - a.v_plus) * (b.frequency_hz - a.frequency_hz) / (
             b.v_plus - a.v_plus
         )
 
     for point in spectrum:
-        below = point.v_plus < shot_ref
+        below = point.v_plus < 1.0
         if below and start is None:
             start = point.frequency_hz if prev is None else crossing(prev, point)
         elif not below and start is not None:
@@ -208,16 +171,6 @@ def squeezing_bands(
     if start is not None and prev is not None:
         bands.append((start, prev.frequency_hz))
     return bands
-
-
-def noise_budget(point: SpectrumPoint) -> NoiseBudget:
-    """Shares of the detected amplitude-quadrature variance by source."""
-    total = point.v_plus
-    entries = tuple(
-        (sid, contribution, 100.0 * contribution / total)
-        for sid, contribution in sorted(point.contributions.items())
-    )
-    return NoiseBudget(frequency_hz=point.frequency_hz, total=total, entries=entries)
 
 
 def bare_source_variance(

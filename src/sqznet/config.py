@@ -19,7 +19,7 @@ from typing import Any
 
 from .analysis import epsilon1_plus
 from .core import NoiseVarianceModel
-from .elements import BeamsplitterParams, HomodyneParams, OpaParams, opa_from_mirrors
+from .elements import Beamsplitter, HomodyneParams, OpaParams, opa_from_mirrors
 from .network import MachZehnderParams
 
 
@@ -160,21 +160,21 @@ def parse_config(data: dict) -> ScenarioConfig:
     _require_keys(mz, allowed, "mach_zehnder")
     opa = _parse_opa(_get(mz, "opa", "mach_zehnder"))
     try:
-        epsilon2 = BeamsplitterParams(_number(mz, "epsilon2", "mach_zehnder"))
+        epsilon2 = Beamsplitter(_number(mz, "epsilon2", "mach_zehnder"))
     except ValueError as exc:
         raise ConfigError(f"invalid epsilon2: {exc}") from exc
     mismatch = _number(mz, "epsilon1_mismatch", "mach_zehnder", 0.0)
     if _get(mz, "epsilon1", "mach_zehnder") == "auto":
         try:
             eps1 = epsilon1_plus(epsilon2.epsilon, opa) * (1.0 + mismatch)
-        except ArithmeticError as exc:
+        except (ArithmeticError, ValueError) as exc:
             raise ConfigError(f"cannot resolve epsilon1: auto: {exc}") from exc
     else:
         if mismatch:
             raise ConfigError("epsilon1_mismatch requires epsilon1: auto")
         eps1 = _number(mz, "epsilon1", "mach_zehnder")
     try:
-        epsilon1 = BeamsplitterParams(eps1)
+        epsilon1 = Beamsplitter(eps1)
     except ValueError as exc:
         raise ConfigError(f"invalid epsilon1: {exc}") from exc
 

@@ -120,10 +120,15 @@ class LinearField:
 
 def combine(ca: complex, a: LinearField, cb: complex, b: LinearField) -> LinearField:
     """Linear combination ``ca*a + cb*b`` of two fields at the same frequency."""
-    # Identity first: fields of one evaluation share one frequency object,
-    # and comparing two arrays by value gives no single truth value.
-    if a.omega is not b.omega and a.omega != b.omega:
-        raise ValueError(f"cannot combine fields at different frequencies ({a.omega} vs {b.omega})")
+    # Identity first: fields of one evaluation share one frequency object.
+    # Otherwise the shapes must match (arrays of other shapes would
+    # broadcast) and so must every value: a bool, or an array of them.
+    if a.omega is not b.omega:
+        same = getattr(a.omega, "shape", ()) == getattr(b.omega, "shape", ()) and a.omega == b.omega
+        if not (same.all() if hasattr(same, "all") else same):
+            raise ValueError(
+                f"cannot combine fields at different frequencies ({a.omega} vs {b.omega})"
+            )
     coeffs: dict[str, tuple[complex, complex]] = {}
     for k, (cp, cm) in a.coeffs.items():
         coeffs[k] = (ca * cp, ca * cm)

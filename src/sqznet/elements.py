@@ -1,6 +1,10 @@
 """Optical elements as linear maps on sideband fields.
 
-Source, beamsplitter, phase shifter, OPA cavity, loss and homodyne readout.
+Each optic is one frozen dataclass: it holds its parameters, checks them
+on construction and maps input fields to output fields in ``apply``.  The
+optics are :class:`Beamsplitter`, :class:`PhaseShifter`, :class:`Opa` and
+:class:`LossElement`; :func:`source` makes a fresh input field and
+:func:`homodyne_readout` turns the detected field into a variance.
 Sign conventions for the beamsplitter and the phase shifter follow the
 interferometer combination
 
@@ -89,29 +93,6 @@ def opa_from_mirrors(
 
 
 @dataclass(frozen=True)
-class BeamsplitterParams:
-    """Power reflectivity in [0, 1]."""
-
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"beamsplitter reflectivity must be in [0, 1], got {self.epsilon}")
-
-
-@dataclass(frozen=True)
-class LossParams:
-    """Power transmission eta in (0, 1] plus the label of the admixed vacuum."""
-
-    eta: float
-    fresh_vacuum_id: str
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"loss transmission must be in (0, 1], got {self.eta}")
-
-
-@dataclass(frozen=True)
 class HomodyneParams:
     """Detection chain: photodiode efficiency, fringe visibility, dark noise.
 
@@ -146,25 +127,51 @@ def source(source_id: str, omega: float = 0.0) -> LinearField:
     return LinearField(omega=omega, coeffs={source_id: (1 + 0j, 1 + 0j)})
 
 
-def beamsplitter(
-    a: LinearField, b: LinearField, p: BeamsplitterParams
-) -> tuple[LinearField, LinearField]:
-    """Combine two fields on a beamsplitter of power reflectivity epsilon.
+class Element:
+    """Network node with ``ports`` inputs and as many outputs.
 
-    out1 = sqrt(eps)*a + sqrt(1-eps)*b and out2 = sqrt(1-eps)*a - sqrt(eps)*b,
-    so with ``a`` the vacuum-side input and ``b`` the source-side input this
-    reproduces the ic/ref pair of the interferometer's first splitter.
+    ``apply(*ins)`` maps the input fields to the tuple of output fields;
+    ``injected_ids()`` names the fresh noise sources the element adds.
     """
-    r = math.sqrt(p.epsilon)
-    t = math.sqrt(1.0 - p.epsilon)
-    out1 = combine(r, a, t, b)
-    out2 = combine(t, a, -r, b)
-    return out1, out2
+
+    ports = 1
+
+    def injected_ids(self) -> tuple[str, ...]:
+        return ()
 
 
-def phase_shift(f: LinearField, phi: float) -> LinearField:
-    """Multiply every coefficient by exp(-i*phi)."""
-    return f.scaled(cmath.exp(-1j * phi))
+@dataclass(frozen=True)
+class Beamsplitter(Element):
+    """Beamsplitter of power reflectivity ``epsilon`` in [0, 1]."""
+
+    epsilon: float
+    ports = 2
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ValueError(f"beamsplitter reflectivity must be in [0, 1], got {self.epsilon}")
+
+    def apply(self, a: LinearField, b: LinearField) -> tuple[LinearField, ...]:
+        """out1 = sqrt(eps)*a + sqrt(1-eps)*b and out2 = sqrt(1-eps)*a - sqrt(eps)*b.
+
+        With ``a`` the vacuum-side input and ``b`` the source-side input this
+        reproduces the ic/ref pair of the interferometer's first splitter.
+        """
+        r = math.sqrt(self.epsilon)
+        t = math.sqrt(1.0 - self.epsilon)
+        out1 = combine(r, a, t, b)
+        out2 = combine(t, a, -r, b)
+        return out1, out2
+
+
+@dataclass(frozen=True)
+class PhaseShifter(Element):
+    """Multiplies every coefficient by exp(-i*phi)."""
+
+    phi: float
+
+    def apply(self, f: LinearField) -> tuple[LinearField, ...]:
+        return (f.scaled(cmath.exp(-1j * self.phi)),)
 
 
 def opa_transfer(
@@ -203,16 +210,50 @@ def opa_transfer(
     return LinearField(omega=omega, coeffs=coeffs)
 
 
-def loss(f: LinearField, p: LossParams) -> LinearField:
-    """Passive power loss: transmit sqrt(eta), admix sqrt(1-eta) fresh vacuum."""
-    if p.fresh_vacuum_id in f.coeffs:
-        raise ValueError(f"noise source '{p.fresh_vacuum_id}' is already present in the field")
-    t = math.sqrt(p.eta)
-    r = math.sqrt(1.0 - p.eta)
-    coeffs = {k: (t * cp, t * cm) for k, (cp, cm) in f.coeffs.items()}
-    if r > 0.0:
-        coeffs[p.fresh_vacuum_id] = (complex(r), complex(r))
-    return LinearField(omega=f.omega, coeffs=coeffs)
+@dataclass(frozen=True)
+class Opa(Element):
+    """Below-threshold OPA cavity; see :func:`opa_transfer`."""
+
+    params: OpaParams
+    oc_vacuum_id: str
+    loss_vacuum_id: str
+
+    def injected_ids(self) -> tuple[str, ...]:
+        return (self.oc_vacuum_id, self.loss_vacuum_id)
+
+    def apply(self, f: LinearField) -> tuple[LinearField, ...]:
+        return (opa_transfer(f, self.params, self.oc_vacuum_id, self.loss_vacuum_id),)
+
+
+@dataclass(frozen=True)
+class LossElement(Element):
+    """Passive power loss: transmit sqrt(eta), admix sqrt(1-eta) fresh vacuum.
+
+    ``eta`` is the power transmission in (0, 1]; ``fresh_vacuum_id`` labels
+    the admixed vacuum.
+    """
+
+    eta: float
+    fresh_vacuum_id: str
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.eta <= 1.0:
+            raise ValueError(f"loss transmission must be in (0, 1], got {self.eta}")
+
+    def injected_ids(self) -> tuple[str, ...]:
+        return (self.fresh_vacuum_id,) if self.eta < 1.0 else ()
+
+    def apply(self, f: LinearField) -> tuple[LinearField, ...]:
+        if self.fresh_vacuum_id in f.coeffs:
+            raise ValueError(
+                f"noise source '{self.fresh_vacuum_id}' is already present in the field"
+            )
+        t = math.sqrt(self.eta)
+        r = math.sqrt(1.0 - self.eta)
+        coeffs = {k: (t * cp, t * cm) for k, (cp, cm) in f.coeffs.items()}
+        if r > 0.0:
+            coeffs[self.fresh_vacuum_id] = (complex(r), complex(r))
+        return (LinearField(omega=f.omega, coeffs=coeffs),)
 
 
 def homodyne_readout(

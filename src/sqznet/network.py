@@ -1,8 +1,9 @@
 """Composition of elements into a directed acyclic optical network.
 
-A :class:`NetworkDescription` lists named elements with integer ports,
-edges from output ports to input ports, fresh-source assignments for every
-open input port, and a designated detector port with homodyne parameters.
+A :class:`NetworkDescription` lists named elements (the optics of
+:mod:`sqznet.elements`) with integer ports, edges from output ports to
+input ports, the noise-source label of the fresh input on every open input
+port, and a designated detector port with homodyne parameters.
 :func:`evaluate` walks the graph in topological order and returns the
 sideband field at the detector; :func:`sweep` turns a frequency grid into
 noise spectra with per-source budgets.
@@ -34,15 +35,14 @@ from .core import (
     db_rel_shot,
 )
 from .elements import (
-    BeamsplitterParams,
+    Beamsplitter,
+    Element,
     HomodyneParams,
-    LossParams,
+    LossElement,
+    Opa,
     OpaParams,
-    beamsplitter,
+    PhaseShifter,
     homodyne_readout,
-    loss,
-    opa_transfer,
-    phase_shift,
     source,
 )
 
@@ -63,67 +63,6 @@ class NetworkError(ValueError):
     """Invalid network description (cycle, dangling port, duplicate source)."""
 
 
-class Element:
-    """Network node with ``ports`` inputs and as many outputs.
-
-    ``apply(*ins)`` maps the input fields to the tuple of output fields;
-    ``injected_ids()`` names the fresh noise sources the element adds.
-    """
-
-    ports = 1
-
-    def injected_ids(self) -> tuple[str, ...]:
-        return ()
-
-
-@dataclass(frozen=True)
-class Beamsplitter(Element):
-    params: BeamsplitterParams
-    ports = 2
-
-    def apply(self, a: LinearField, b: LinearField) -> tuple[LinearField, ...]:
-        return beamsplitter(a, b, self.params)
-
-
-@dataclass(frozen=True)
-class PhaseShifter(Element):
-    phi: float
-
-    def apply(self, f: LinearField) -> tuple[LinearField, ...]:
-        return (phase_shift(f, self.phi),)
-
-
-@dataclass(frozen=True)
-class Opa(Element):
-    params: OpaParams
-    oc_vacuum_id: str
-    loss_vacuum_id: str
-
-    def injected_ids(self) -> tuple[str, ...]:
-        return (self.oc_vacuum_id, self.loss_vacuum_id)
-
-    def apply(self, f: LinearField) -> tuple[LinearField, ...]:
-        return (opa_transfer(f, self.params, self.oc_vacuum_id, self.loss_vacuum_id),)
-
-
-@dataclass(frozen=True)
-class LossElement(Element):
-    params: LossParams
-
-    def injected_ids(self) -> tuple[str, ...]:
-        return (self.params.fresh_vacuum_id,) if self.params.eta < 1.0 else ()
-
-    def apply(self, f: LinearField) -> tuple[LinearField, ...]:
-        return (loss(f, self.params),)
-
-
-@dataclass(frozen=True)
-class SourceSpec:
-    """Fresh input on an open port, named by its noise-source label."""
-
-    source_id: str
-
-
 Port = tuple[str, int]
 
 
@@ -133,7 +72,7 @@ class NetworkDescription:
 
     elements: Mapping[str, Element]
     edges: tuple[tuple[Port, Port], ...]
-    inputs: Mapping[Port, SourceSpec]
+    inputs: Mapping[Port, str]
     detector: Port
     detection: HomodyneParams = field(default_factory=HomodyneParams)
 
@@ -207,7 +146,7 @@ class NetworkDescription:
 
     def source_ids(self) -> tuple[str, ...]:
         """All noise-source labels injected anywhere in the network."""
-        ids = [spec.source_id for spec in self.inputs.values()]
+        ids = list(self.inputs.values())
         for elem in self.elements.values():
             ids += elem.injected_ids()
         return tuple(ids)
@@ -238,7 +177,7 @@ def evaluate(net: NetworkDescription, omega: float) -> LinearField:
         for idx in range(elem.ports):
             port = (name, idx)
             if port in net.inputs:
-                ins.append(source(net.inputs[port].source_id, omega))
+                ins.append(source(net.inputs[port], omega))
             else:
                 ins.append(fields[feeds[port]])
         for out_idx, out_field in enumerate(elem.apply(*ins)):
@@ -250,8 +189,8 @@ def evaluate(net: NetworkDescription, omega: float) -> LinearField:
 class MachZehnderParams:
     """Parameters of the canonical noise-cancellation interferometer."""
 
-    epsilon1: BeamsplitterParams
-    epsilon2: BeamsplitterParams
+    epsilon1: Beamsplitter
+    epsilon2: Beamsplitter
     opa: OpaParams
     phi: float
     src_model: NoiseVarianceModel = VACUUM
@@ -275,21 +214,21 @@ def build_mach_zehnder(
     blocking that beam on the table.
     """
     elements: dict[str, Element] = {
-        "bs1": Beamsplitter(p.epsilon1),
+        "bs1": p.epsilon1,
         "opa": Opa(p.opa, oc_vacuum_id=OC, loss_vacuum_id=LOSS),
         "phase": PhaseShifter(p.phi),
-        "bs2": Beamsplitter(p.epsilon2),
+        "bs2": p.epsilon2,
     }
     edges: list[tuple[Port, Port]] = [(("bs1", 0), ("opa", 0)), (("opa", 0), ("bs2", 0))]
-    inputs: dict[Port, SourceSpec] = {("bs1", 0): SourceSpec(VAC), ("bs1", 1): SourceSpec(SRC)}
+    inputs: dict[Port, str] = {("bs1", 0): VAC, ("bs1", 1): SRC}
     if block_reference:
-        inputs[("phase", 0)] = SourceSpec(REF_BLOCK_VAC)
+        inputs[("phase", 0)] = REF_BLOCK_VAC
     else:
         edges.append((("bs1", 1), ("phase", 0)))
     edges.append((("phase", 0), ("bs2", 1)))
     detector: Port = ("bs2", 0)
     if p.propagation_eta < 1.0:
-        elements["prop"] = LossElement(LossParams(p.propagation_eta, PROP_VAC))
+        elements["prop"] = LossElement(p.propagation_eta, PROP_VAC)
         edges.append((detector, ("prop", 0)))
         detector = ("prop", 0)
     return NetworkDescription(
@@ -362,7 +301,7 @@ def bare_opa_params(p: MachZehnderParams) -> MachZehnderParams:
     """Degenerate topology measuring the OPA output directly (no reference arm)."""
     return replace(
         p,
-        epsilon1=BeamsplitterParams(0.0),
-        epsilon2=BeamsplitterParams(1.0),
+        epsilon1=Beamsplitter(0.0),
+        epsilon2=Beamsplitter(1.0),
         phi=0.0,
     )

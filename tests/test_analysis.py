@@ -7,17 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqznet import (
-    BeamsplitterParams,
+    Beamsplitter,
     MachZehnderParams,
     NoiseVarianceModel,
     OpaParams,
     Quadrature,
     SpectrumPoint,
-    dark_port_power,
     epsilon1_plus,
     evaluate,
     loss_chain,
-    noise_budget,
     solve_cancellation_numeric,
     squeezed_vacuum_variance,
     squeezing_bands,
@@ -33,8 +31,8 @@ from oracles import mz_output_coefficients
 
 def mz_params(eps1, eps2, phi, opa, **kw):
     return MachZehnderParams(
-        epsilon1=BeamsplitterParams(eps1),
-        epsilon2=BeamsplitterParams(eps2),
+        epsilon1=Beamsplitter(eps1),
+        epsilon2=Beamsplitter(eps2),
         opa=opa,
         phi=phi,
         **kw,
@@ -162,7 +160,7 @@ class TestSolveCancellation:
         cfg = load_preset("paper-fig2")
         p = cfg.mach_zehnder
         eps1 = epsilon1_plus(p.epsilon2.epsilon, p.opa)
-        net = build_mach_zehnder(replace(p, epsilon1=BeamsplitterParams(eps1), phi=0.0, propagation_eta=1.0))
+        net = build_mach_zehnder(replace(p, epsilon1=Beamsplitter(eps1), phi=0.0, propagation_eta=1.0))
         omegas = np.logspace(
             math.log10(1e-4 * p.opa.kappa), math.log10(1e-2 * p.opa.kappa), 20
         )
@@ -228,25 +226,6 @@ class TestLossChain:
             loss_chain([0.0])
 
 
-class TestDarkPortPower:
-    def test_perfect_interference(self):
-        # eps2*p1 == (1-eps2)*p2 with unit visibility nulls the output.
-        assert dark_port_power(1e-4, 99e-4, 0.99, 1.0) == pytest.approx(0.0, abs=1e-18)
-
-    def test_paper_like_residual(self):
-        p = dark_port_power(200e-6, 19.8e-3, 0.99, 0.944)
-        assert p == pytest.approx(22e-6, rel=0.02)
-
-    @given(
-        p1=st.floats(min_value=0.0, max_value=1.0),
-        p2=st.floats(min_value=0.0, max_value=1.0),
-        eps2=st.floats(min_value=0.0, max_value=1.0),
-        vis=st.floats(min_value=0.0, max_value=1.0),
-    )
-    def test_nonnegative(self, p1, p2, eps2, vis):
-        assert dark_port_power(p1, p2, eps2, vis) >= -1e-15
-
-
 def _point(f, v):
     return SpectrumPoint(
         frequency_hz=f, v_plus=v, v_plus_db=10 * math.log10(v), contributions={}
@@ -275,16 +254,3 @@ class TestSqueezingBands:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             squeezing_bands([_point(2e5, 0.5), _point(1e5, 0.5)])
-
-
-class TestNoiseBudget:
-    def test_shares_sum_to_hundred(self):
-        pt = SpectrumPoint(
-            frequency_hz=1e5,
-            v_plus=0.8,
-            v_plus_db=10 * math.log10(0.8),
-            contributions={"a": 0.5, "b": 0.2, "c": 0.1},
-        )
-        budget = noise_budget(pt)
-        assert sum(c for _, c, _ in budget.entries) == pytest.approx(0.8, abs=1e-12)
-        assert sum(s for _, _, s in budget.entries) == pytest.approx(100.0, abs=1e-9)

@@ -50,6 +50,9 @@ BAD_VALUES = {
     "detection-empty-string": (("mach_zehnder", "detection"), ""),
     "peaks-empty-mapping": (("source_noise", "peaks"), {}),
     "peaks-zero": (("source_noise", "peaks"), 0),
+    # In range for a splitter, but singular for epsilon1: auto.
+    "epsilon2-zero-auto": (("mach_zehnder", "epsilon2"), 0.0),
+    "epsilon2-one-auto": (("mach_zehnder", "epsilon2"), 1.0),
 }
 
 

@@ -19,6 +19,7 @@ from sqznet import (
     sum_coefficient_power,
     variance,
 )
+from sqznet.core import combine
 
 R = math.sqrt(0.5)
 
@@ -132,3 +133,28 @@ def test_variance_model_low_frequency_term_rejects_zero(omega):
     model = NoiseVarianceModel(low_freq_excess=(1e12, 2.0))
     with pytest.raises(ValueError, match="zero frequency"):
         model.evaluate(omega)
+
+
+def test_combine_grid_fields_on_equal_distinct_arrays():
+    # Two evaluations over equal grids hold distinct but equal ω arrays.
+    a = LinearField(omega=np.array([1.0, 2.0]), coeffs={"a": (1 + 0j, 1 + 0j)})
+    b = LinearField(omega=np.array([1.0, 2.0]), coeffs={"b": (1 + 0j, 1 + 0j)})
+    out = combine(R, a, R, b)
+    assert out.omega is a.omega
+    assert variance(out, Quadrature.PLUS, {"a": VACUUM, "b": VACUUM}) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "omega_a, omega_b",
+    [
+        (np.array([1.0, 2.0]), np.array([1.0, 3.0])),
+        (np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])),
+        (np.array([1.0]), np.array([1.0, 1.0])),
+    ],
+    ids=["grid-values", "grid-lengths", "grid-broadcastable"],
+)
+def test_combine_rejects_different_frequencies(omega_a, omega_b):
+    a = LinearField(omega=omega_a, coeffs={"a": (1 + 0j, 1 + 0j)})
+    b = LinearField(omega=omega_b, coeffs={"b": (1 + 0j, 1 + 0j)})
+    with pytest.raises(ValueError, match="cannot combine fields at different frequencies"):
+        combine(R, a, R, b)

@@ -6,19 +6,17 @@ from hypothesis import strategies as st
 
 from sqznet import (
     VACUUM,
-    BeamsplitterParams,
+    Beamsplitter,
     HomodyneParams,
     LinearField,
-    LossParams,
+    LossElement,
     OpaParams,
+    PhaseShifter,
     Quadrature,
-    beamsplitter,
     homodyne_readout,
-    loss,
     loss_chain,
     opa_from_mirrors,
     opa_transfer,
-    phase_shift,
     source,
     sum_coefficient_power,
     variance,
@@ -41,12 +39,12 @@ class TestParams:
     @pytest.mark.parametrize("eps", [-0.1, 1.1])
     def test_beamsplitter_bounds(self, eps):
         with pytest.raises(ValueError):
-            BeamsplitterParams(eps)
+            Beamsplitter(eps)
 
     @pytest.mark.parametrize("eta", [0.0, 1.2])
     def test_loss_bounds(self, eta):
         with pytest.raises(ValueError):
-            LossParams(eta, "v")
+            LossElement(eta, "v")
 
     def test_homodyne_bounds(self):
         with pytest.raises(ValueError):
@@ -80,7 +78,7 @@ class TestBeamsplitter:
     def test_mirror_case(self):
         a = source("a")
         b = source("b")
-        out1, out2 = beamsplitter(a, b, BeamsplitterParams(1.0))
+        out1, out2 = Beamsplitter(1.0).apply(a, b)
         assert out1.coeffs["a"] == (1 + 0j, 1 + 0j)
         assert abs(out1.coefficient("b", Quadrature.PLUS)) == 0.0
         assert out2.coefficient("b", Quadrature.PLUS) == -1.0
@@ -88,20 +86,20 @@ class TestBeamsplitter:
     def test_balanced_dark_port(self):
         a = source("a")
         b = LinearField(omega=0.0, coeffs={"a": (1 + 0j, 1 + 0j)})
-        _, dark = beamsplitter(a, b, BeamsplitterParams(0.5))
+        _, dark = Beamsplitter(0.5).apply(a, b)
         for cp, cm in dark.coeffs.values():
             assert abs(cp) < 1e-15 and abs(cm) < 1e-15
 
     def test_frequency_mismatch_rejected(self):
         with pytest.raises(ValueError, match="frequencies"):
-            beamsplitter(source("a", omega=1.0), source("b", omega=2.0), BeamsplitterParams(0.5))
+            Beamsplitter(0.5).apply(source("a", omega=1.0), source("b", omega=2.0))
 
     @given(eps=st.floats(min_value=0.0, max_value=1.0))
     def test_involution_reconstructs_inputs(self, eps):
         # The 2x2 map is symmetric orthogonal, so applying it twice is identity.
         a, b = source("a"), source("b")
-        p = BeamsplitterParams(eps)
-        back_a, back_b = beamsplitter(*beamsplitter(a, b, p), p)
+        p = Beamsplitter(eps)
+        back_a, back_b = p.apply(*p.apply(a, b))
         assert back_a.coefficient("a", Quadrature.PLUS) == pytest.approx(1.0, abs=1e-12)
         assert abs(back_a.coefficient("b", Quadrature.PLUS)) < 1e-12
         assert back_b.coefficient("b", Quadrature.PLUS) == pytest.approx(1.0, abs=1e-12)
@@ -110,7 +108,7 @@ class TestBeamsplitter:
     @given(eps=st.floats(min_value=0.0, max_value=1.0))
     def test_coefficient_power_conserved(self, eps):
         a, b = source("a"), source("b")
-        out1, out2 = beamsplitter(a, b, BeamsplitterParams(eps))
+        out1, out2 = Beamsplitter(eps).apply(a, b)
         for q in Quadrature:
             before = sum_coefficient_power(a, q) + sum_coefficient_power(b, q)
             after = sum_coefficient_power(out1, q) + sum_coefficient_power(out2, q)
@@ -120,20 +118,21 @@ class TestBeamsplitter:
 class TestPhaseShift:
     def test_zero_is_identity(self):
         f = source("a")
-        assert phase_shift(f, 0.0).coeffs == f.coeffs
+        assert PhaseShifter(0.0).apply(f)[0].coeffs == f.coeffs
 
     def test_pi_twice_is_identity(self):
         f = source("a")
-        g = phase_shift(phase_shift(f, math.pi), math.pi)
+        (g,) = PhaseShifter(math.pi).apply(*PhaseShifter(math.pi).apply(f))
         assert g.coefficient("a", Quadrature.PLUS) == pytest.approx(1.0, abs=1e-15)
 
     @given(phi=st.floats(min_value=-10.0, max_value=10.0))
     def test_variance_invariant(self, phi):
         f = source("a")
         models = {"a": VACUUM}
+        (shifted,) = PhaseShifter(phi).apply(f)
         for q in Quadrature:
-            assert variance(phase_shift(f, phi), q, models) == pytest.approx(1.0, abs=1e-12)
-            assert sum_coefficient_power(phase_shift(f, phi), q) == pytest.approx(1.0, abs=1e-12)
+            assert variance(shifted, q, models) == pytest.approx(1.0, abs=1e-12)
+            assert sum_coefficient_power(shifted, q) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOpa:
@@ -197,13 +196,13 @@ class TestOpa:
 class TestLoss:
     def test_unity_eta_is_identity(self):
         f = source("a")
-        out = loss(f, LossParams(1.0, "v"))
+        (out,) = LossElement(1.0, "v").apply(f)
         assert out.coeffs == f.coeffs
         assert "v" not in out.coeffs
 
     def test_shot_noise_invariant(self):
         f = source("a")
-        out = loss(f, LossParams(0.3, "v"))
+        (out,) = LossElement(0.3, "v").apply(f)
         assert variance(out, Quadrature.PLUS, {"a": VACUUM, "v": VACUUM}) == pytest.approx(
             1.0, abs=1e-12
         )
@@ -214,13 +213,13 @@ class TestLoss:
         out = opa_transfer(source("seed", 0.0), opa, "oc", "cav")
         models = {"seed": VACUUM, "oc": VACUUM, "cav": VACUUM, "v": VACUUM}
         assert variance(out, Quadrature.PLUS, models) == pytest.approx(0.5, rel=1e-9)
-        lossy = loss(out, LossParams(0.73, "v"))
+        (lossy,) = LossElement(0.73, "v").apply(out)
         assert variance(lossy, Quadrature.PLUS, models) == pytest.approx(0.635, rel=1e-9)
 
     def test_duplicate_vacuum_rejected(self):
         f = source("a")
         with pytest.raises(ValueError, match="'a'"):
-            loss(f, LossParams(0.5, "a"))
+            LossElement(0.5, "a").apply(f)
 
     @given(eta=st.floats(min_value=0.01, max_value=1.0), g=st.floats(min_value=-0.9, max_value=0.0))
     # Here (1 - eta)*|V - 1| is about 1e-16, below what the strict < can resolve.
@@ -231,7 +230,7 @@ class TestLoss:
         models = {"seed": VACUUM, "oc": VACUUM, "cav": VACUUM, "v": VACUUM}
         for q in Quadrature:
             v = variance(out, q, models)
-            v_lossy = variance(loss(out, LossParams(eta, "v")), q, models)
+            v_lossy = variance(LossElement(eta, "v").apply(out)[0], q, models)
             assert abs(v_lossy - 1.0) <= eta * abs(v - 1.0) + 1e-12
             if (1.0 - eta) * abs(v - 1.0) > 1e-12:
                 assert abs(v_lossy - 1.0) < abs(v - 1.0)

@@ -6,16 +6,13 @@ import pytest
 from oracles import mz_output_coefficients
 from sqznet import (
     VACUUM,
-    BeamsplitterParams,
     HomodyneParams,
-    LossParams,
     MachZehnderParams,
     NetworkDescription,
     NetworkError,
     NoiseVarianceModel,
     OpaParams,
     Quadrature,
-    SourceSpec,
     epsilon1_plus,
     evaluate,
     homodyne_readout,
@@ -41,8 +38,8 @@ from sqznet.verify import draw_opa, random_passive_network
 
 def mz_params(eps1, eps2, phi, opa, **kw):
     return MachZehnderParams(
-        epsilon1=BeamsplitterParams(eps1),
-        epsilon2=BeamsplitterParams(eps2),
+        epsilon1=Beamsplitter(eps1),
+        epsilon2=Beamsplitter(eps2),
         opa=opa,
         phi=phi,
         **kw,
@@ -54,7 +51,7 @@ class TestEvaluate:
         net = NetworkDescription(
             elements={"id": PhaseShifter(0.0)},
             edges=(),
-            inputs={("id", 0): SourceSpec("src")},
+            inputs={("id", 0): "src"},
             detector=("id", 0),
         )
         fld = evaluate(net, 0.0)
@@ -103,38 +100,38 @@ class TestValidation:
         with pytest.raises(NetworkError, match="cycle"):
             NetworkDescription(
                 elements={
-                    "bs1": Beamsplitter(BeamsplitterParams(0.5)),
-                    "bs2": Beamsplitter(BeamsplitterParams(0.5)),
+                    "bs1": Beamsplitter(0.5),
+                    "bs2": Beamsplitter(0.5),
                 },
                 edges=((("bs1", 0), ("bs2", 0)), (("bs2", 0), ("bs1", 0))),
-                inputs={("bs1", 1): SourceSpec("a"), ("bs2", 1): SourceSpec("b")},
+                inputs={("bs1", 1): "a", ("bs2", 1): "b"},
                 detector=("bs1", 1),
             )
 
     def test_dangling_input(self):
         with pytest.raises(NetworkError, match="dangling"):
             NetworkDescription(
-                elements={"bs": Beamsplitter(BeamsplitterParams(0.5))},
+                elements={"bs": Beamsplitter(0.5)},
                 edges=(),
-                inputs={("bs", 0): SourceSpec("a")},
+                inputs={("bs", 0): "a"},
                 detector=("bs", 0),
             )
 
     def test_duplicate_source_id(self):
         with pytest.raises(NetworkError, match="more than once"):
             NetworkDescription(
-                elements={"bs": Beamsplitter(BeamsplitterParams(0.5))},
+                elements={"bs": Beamsplitter(0.5)},
                 edges=(),
-                inputs={("bs", 0): SourceSpec("a"), ("bs", 1): SourceSpec("a")},
+                inputs={("bs", 0): "a", ("bs", 1): "a"},
                 detector=("bs", 0),
             )
 
     def test_duplicate_source_id_with_loss_ancilla(self):
         with pytest.raises(NetworkError, match="more than once"):
             NetworkDescription(
-                elements={"l": LossElement(LossParams(0.5, "a"))},
+                elements={"l": LossElement(0.5, "a")},
                 edges=(),
-                inputs={("l", 0): SourceSpec("a")},
+                inputs={("l", 0): "a"},
                 detector=("l", 0),
             )
 
@@ -143,7 +140,7 @@ class TestValidation:
             NetworkDescription(
                 elements={"a": PhaseShifter(0.0), "b": PhaseShifter(0.0)},
                 edges=((("a", 0), ("b", 0)),),
-                inputs={("a", 0): SourceSpec("s")},
+                inputs={("a", 0): "s"},
                 detector=("a", 0),
             )
 
