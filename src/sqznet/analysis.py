@@ -14,7 +14,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 
 from .core import TWO_PI, NoiseVarianceModel, Quadrature
-from .elements import Beamsplitter, OpaParams, homodyne_readout
+from .elements import Beamsplitter, OpaParams, _failing, homodyne_readout
 from .network import (
     SRC,
     HomodyneParams,
@@ -45,9 +45,12 @@ def epsilon1_plus(epsilon2: float, opa: OpaParams) -> float:
     """First-splitter reflectivity cancelling the source at zero frequency.
 
     eps1 = 1 - [1 + eps2/(1-eps2) * (4*k_ic*k_oc/kappa^2) / (1-g/kappa)^2]^-1
+
+    ``epsilon2`` and the fields of ``opa`` may be arrays over designs.
     """
-    if not 0.0 < epsilon2 < 1.0:
-        raise ValueError(f"epsilon2 must lie strictly inside (0, 1), got {epsilon2}")
+    ok = (0.0 < epsilon2) & (epsilon2 < 1.0)
+    if ok is not True and (bad := _failing(ok, epsilon2)) is not None:
+        raise ValueError(f"epsilon2 must lie strictly inside (0, 1), got {bad[0]}")
     kappa = opa.kappa
     bracket = 1.0 + (epsilon2 / (1.0 - epsilon2)) * (
         4.0 * opa.kappa_ic * opa.kappa_oc / kappa**2
@@ -56,9 +59,13 @@ def epsilon1_plus(epsilon2: float, opa: OpaParams) -> float:
 
 
 def squeezed_vacuum_variance(epsilon2: float, opa: OpaParams) -> float:
-    """Output variance under exact cancellation: 1 + eps2*4*k_oc*g/(kappa-g)^2."""
-    if not 0.0 <= epsilon2 <= 1.0:
-        raise ValueError(f"epsilon2 must be in [0, 1], got {epsilon2}")
+    """Output variance under exact cancellation: 1 + eps2*4*k_oc*g/(kappa-g)^2.
+
+    ``epsilon2`` and the fields of ``opa`` may be arrays over designs.
+    """
+    ok = (0.0 <= epsilon2) & (epsilon2 <= 1.0)
+    if ok is not True and (bad := _failing(ok, epsilon2)) is not None:
+        raise ValueError(f"epsilon2 must be in [0, 1], got {bad[0]}")
     return 1.0 + epsilon2 * 4.0 * opa.kappa_oc * opa.g / (opa.kappa - opa.g) ** 2
 
 

@@ -13,6 +13,14 @@ interferometer combination
 with the reflected port picking up the minus sign on the second input.
 The OPA below threshold acts on the amplitude quadrature with gain g and
 on the phase quadrature with gain -g.
+
+The design parameters of :class:`Beamsplitter`, :class:`LossElement` and
+:class:`OpaParams` may be numpy arrays over designs, just as a field's
+frequency may be an array over a grid: the same code then builds and
+evaluates a stack of designs at once, and every coefficient becomes an
+array over them.  Validation holds element-wise and names the first bad
+entry; a float keeps the plain-Python path and never loads numpy.
+They compare and hash by value, an array keyed by its bytes.
 """
 
 from __future__ import annotations
@@ -25,12 +33,70 @@ from dataclasses import dataclass
 from .core import LinearField, NoiseVarianceModel, Quadrature, combine, variance
 
 
-@dataclass(frozen=True)
-class OpaParams:
+def _sqrt(x):
+    """math.sqrt for a number; numpy's element-wise sqrt for an array over designs."""
+    if isinstance(x, (float, int)):
+        return math.sqrt(x)
+    import numpy as np
+
+    return np.sqrt(x)
+
+
+def _any(cond) -> bool:
+    """Whether ``cond`` holds anywhere: a bool, or an array of them over designs."""
+    return cond.any() if hasattr(cond, "any") else cond
+
+
+def _failing(ok, *values) -> tuple | None:
+    """None if ``ok`` holds everywhere, else ``values`` where it first fails.
+
+    ``ok`` is a bool, or an array of them over designs; then each value
+    (an array over the same designs, or one shared number) is taken at the
+    first failing design, so that an error message formats plain numbers.
+    Callers test ``ok is not True`` first, so a float check makes no call.
+    """
+    if not getattr(ok, "ndim", 0):  # a bool, or a numpy scalar's
+        return None if ok else values
+    if ok.all():
+        return None
+    import numpy as np
+
+    i = int(ok.argmin())
+    return tuple(np.broadcast_to(v, ok.shape).flat[i].item() for v in values)
+
+
+def _key(value):
+    """Hashable stand-in for a field: itself, or an array's (dtype, shape, bytes)."""
+    if value.__hash__ is None:
+        return value.dtype.str, value.shape, value.tobytes()
+    return value
+
+
+class _ByValue:
+    """``__eq__``/``__hash__`` over the dataclass fields, arrays by value.
+
+    For hashable fields this is the dataclass's own comparison and hash.
+    """
+
+    def _fields(self) -> tuple:
+        return tuple(_key(getattr(self, f)) for f in self.__dataclass_fields__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+@dataclass(frozen=True, eq=False)
+class OpaParams(_ByValue):
     """Cavity coupling rates (s^-1) and nonlinear gain of the OPA.
 
     g is real; negative g deamplifies the amplitude quadrature.  The cavity
     must be below threshold: |g| < kappa_ic + kappa_oc + kappa_loss.
+    Each field may be an array over designs.
     """
 
     kappa_ic: float
@@ -40,14 +106,17 @@ class OpaParams:
 
     def __post_init__(self) -> None:
         for name in ("kappa_ic", "kappa_oc", "kappa_loss"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.kappa <= 0.0:
+            rate = getattr(self, name)
+            ok = rate >= 0.0
+            if ok is not True and (bad := _failing(ok, rate)) is not None:
+                raise ValueError(f"{name} must be >= 0, got {bad[0]}")
+        kappa = self.kappa
+        ok = kappa > 0.0
+        if ok is not True and _failing(ok) is not None:
             raise ValueError("total decay rate kappa must be > 0")
-        if abs(self.g) >= self.kappa:
-            raise ValueError(
-                f"|g| = {abs(self.g):.4g} must be below threshold kappa = {self.kappa:.4g}"
-            )
+        ok = abs(self.g) < kappa
+        if ok is not True and (bad := _failing(ok, abs(self.g), kappa)) is not None:
+            raise ValueError(f"|g| = {bad[0]:.4g} must be below threshold kappa = {bad[1]:.4g}")
 
     @property
     def kappa(self) -> float:
@@ -140,16 +209,17 @@ class Element:
         return ()
 
 
-@dataclass(frozen=True)
-class Beamsplitter(Element):
-    """Beamsplitter of power reflectivity ``epsilon`` in [0, 1]."""
+@dataclass(frozen=True, eq=False)
+class Beamsplitter(_ByValue, Element):
+    """Beamsplitter of power reflectivity ``epsilon`` in [0, 1] (may be an array)."""
 
     epsilon: float
     ports = 2
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"beamsplitter reflectivity must be in [0, 1], got {self.epsilon}")
+        ok = (0.0 <= self.epsilon) & (self.epsilon <= 1.0)
+        if ok is not True and (bad := _failing(ok, self.epsilon)) is not None:
+            raise ValueError(f"beamsplitter reflectivity must be in [0, 1], got {bad[0]}")
 
     def apply(self, a: LinearField, b: LinearField) -> tuple[LinearField, ...]:
         """out1 = sqrt(eps)*a + sqrt(1-eps)*b and out2 = sqrt(1-eps)*a - sqrt(eps)*b.
@@ -157,8 +227,8 @@ class Beamsplitter(Element):
         With ``a`` the vacuum-side input and ``b`` the source-side input this
         reproduces the ic/ref pair of the interferometer's first splitter.
         """
-        r = math.sqrt(self.epsilon)
-        t = math.sqrt(1.0 - self.epsilon)
+        r = _sqrt(self.epsilon)
+        t = _sqrt(1.0 - self.epsilon)
         out1 = combine(r, a, t, b)
         out2 = combine(t, a, -r, b)
         return out1, out2
@@ -195,8 +265,8 @@ def opa_transfer(
             raise ValueError(f"noise source '{fresh}' is already present in the seed field")
     kappa = p.kappa
     omega = seed.omega
-    s_seed = math.sqrt(4.0 * p.kappa_ic * p.kappa_oc)
-    s_loss = math.sqrt(4.0 * p.kappa_loss * p.kappa_oc)
+    s_seed = _sqrt(4.0 * p.kappa_ic * p.kappa_oc)
+    s_loss = _sqrt(4.0 * p.kappa_loss * p.kappa_oc)
     den = [1j * omega + kappa - p.g, 1j * omega + kappa + p.g]  # X+, X- (g -> -g)
     t_seed = [s_seed / d for d in den]
     coeffs: dict[str, tuple[complex, complex]] = {
@@ -225,34 +295,36 @@ class Opa(Element):
         return (opa_transfer(f, self.params, self.oc_vacuum_id, self.loss_vacuum_id),)
 
 
-@dataclass(frozen=True)
-class LossElement(Element):
+@dataclass(frozen=True, eq=False)
+class LossElement(_ByValue, Element):
     """Passive power loss: transmit sqrt(eta), admix sqrt(1-eta) fresh vacuum.
 
-    ``eta`` is the power transmission in (0, 1]; ``fresh_vacuum_id`` labels
-    the admixed vacuum.
+    ``eta`` is the power transmission in (0, 1] (may be an array);
+    ``fresh_vacuum_id`` labels the admixed vacuum, injected when any design
+    loses power.
     """
 
     eta: float
     fresh_vacuum_id: str
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"loss transmission must be in (0, 1], got {self.eta}")
+        ok = (0.0 < self.eta) & (self.eta <= 1.0)
+        if ok is not True and (bad := _failing(ok, self.eta)) is not None:
+            raise ValueError(f"loss transmission must be in (0, 1], got {bad[0]}")
 
     def injected_ids(self) -> tuple[str, ...]:
-        return (self.fresh_vacuum_id,) if self.eta < 1.0 else ()
+        return (self.fresh_vacuum_id,) if _any(self.eta < 1.0) else ()
 
     def apply(self, f: LinearField) -> tuple[LinearField, ...]:
         if self.fresh_vacuum_id in f.coeffs:
             raise ValueError(
                 f"noise source '{self.fresh_vacuum_id}' is already present in the field"
             )
-        t = math.sqrt(self.eta)
-        r = math.sqrt(1.0 - self.eta)
+        t = _sqrt(self.eta)
+        r = _sqrt(1.0 - self.eta)
         coeffs = {k: (t * cp, t * cm) for k, (cp, cm) in f.coeffs.items()}
-        if r > 0.0:
-            coeffs[self.fresh_vacuum_id] = (complex(r), complex(r))
+        if _any(r > 0.0):
+            coeffs[self.fresh_vacuum_id] = (r + 0j, r + 0j)
         return (LinearField(omega=f.omega, coeffs=coeffs),)
 
 

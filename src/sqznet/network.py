@@ -198,6 +198,11 @@ class MachZehnderParams:
     propagation_eta: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("epsilon1", "epsilon2"):
+            if not isinstance(getattr(self, name), Beamsplitter):
+                raise TypeError(
+                    f"{name} must be a Beamsplitter, got {type(getattr(self, name)).__name__}"
+                )
         if not 0.0 < self.propagation_eta <= 1.0:
             raise ValueError(f"propagation_eta must be in (0, 1], got {self.propagation_eta}")
 

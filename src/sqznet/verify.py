@@ -2,12 +2,23 @@
 
 Each suite returns its maximum observed error against a pinned tolerance.
 The CLI `verify` command runs all of them; the test suite reuses the same
-functions so the shipped binary and CI check the same physics.
+functions so the shipped binary and CI check the same physics.  A suite
+that raises is reported as a failure naming the exception, and a NaN
+error fails its suite.
+
+The random suites draw from their seed in the same order as a loop that
+evaluates one design at one frequency, so a seed names the same designs.
+The consistency suite stacks its designs into array-valued parameters in
+blocks of ``_BLOCK`` draws, and builds and evaluates each block as one
+network; the unitarity suite evaluates each random chain once over an
+array of its frequencies.  Both run the same ``build_mach_zehnder`` and
+``evaluate`` as a single design at a single frequency.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,16 +39,44 @@ from .elements import (
 from .network import SRC, MachZehnderParams, NetworkDescription, build_mach_zehnder, evaluate, sweep
 
 
+#: Consistency draws per stacked network: one wide batch would cost more
+#: memory than it saves time.
+_BLOCK = 1000
+
+CONSISTENCY = "eq-consistency (2)<->(3)<->(4)"
+PASSIVE_UNITARITY = "passive unitarity"
+UNCERTAINTY_PRODUCT = "uncertainty product"
+BUDGET_CLOSURE = "budget closure"
+RESIDUAL_SCALING = "finite-frequency residual ~ Omega^2"
+
+
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
     passed: bool
     max_error: float
     tolerance: float
+    error: str | None = None
 
     def line(self) -> str:
+        if self.error is not None:
+            return f"FAIL  {self.name}: {self.error}"
         status = "PASS" if self.passed else "FAIL"
         return f"{status}  {self.name}: max error {self.max_error:.3e} (tolerance {self.tolerance:.1e})"
+
+
+def _fold(worst: float, *errors) -> float:
+    """The largest of ``worst`` and every entry of ``errors`` (numbers or arrays).
+
+    A NaN anywhere is kept, where Python's ``max`` would drop it, so a NaN
+    fails its suite.
+    """
+    for err in errors:
+        if hasattr(err, "max"):
+            err = float(err.max())  # NaN if any entry is
+        if err > worst or math.isnan(err):
+            worst = err
+    return worst
 
 
 def draw_opa(rng: np.random.Generator, passive: bool = False) -> OpaParams:
@@ -50,18 +89,24 @@ def draw_opa(rng: np.random.Generator, passive: bool = False) -> OpaParams:
 
 def check_consistency(draws: int = 10_000, seed: int = 0) -> SuiteResult:
     """Zero-frequency triangle: composed network nulls the source coefficient
-    at the closed-form reflectivity and lands on the closed-form variance."""
+    at the closed-form reflectivity and lands on the closed-form variance.
+
+    Designs are drawn one at a time, then stacked and evaluated in blocks.
+    """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     rng = np.random.default_rng(seed)
     tol_coeff, tol_var = 1e-12, 1e-10
     worst = 0.0
-    for _ in range(draws):
-        opa = draw_opa(rng)
-        eps2 = rng.uniform(0.01, 0.99)
-        eps1 = epsilon1_plus(eps2, opa)
+    for start in range(0, draws, _BLOCK):
+        rows = []
+        for _ in range(min(_BLOCK, draws - start)):
+            o = draw_opa(rng)
+            rows.append((o.kappa_ic, o.kappa_oc, o.kappa_loss, o.g, rng.uniform(0.01, 0.99)))
+        *rates, eps2 = np.array(rows).T
+        opa = OpaParams(*rates)
         params = MachZehnderParams(
-            epsilon1=Beamsplitter(eps1),
+            epsilon1=Beamsplitter(epsilon1_plus(eps2, opa)),
             epsilon2=Beamsplitter(eps2),
             opa=opa,
             phi=0.0,
@@ -71,10 +116,10 @@ def check_consistency(draws: int = 10_000, seed: int = 0) -> SuiteResult:
         c_src = abs(fld.coefficient(SRC, Quadrature.PLUS))
         v = variance(fld, Quadrature.PLUS, net.source_models())
         v_ref = squeezed_vacuum_variance(eps2, opa)
-        err = max(c_src / tol_coeff, abs(v - v_ref) / abs(v_ref) / tol_var)
-        worst = max(worst, err)
+        err = np.maximum(c_src / tol_coeff, abs(v - v_ref) / abs(v_ref) / tol_var)
+        worst = _fold(worst, err)
     # worst is normalized to its own tolerance; report against 1.
-    return SuiteResult("eq-consistency (2)<->(3)<->(4)", worst <= 1.0, worst, 1.0)
+    return SuiteResult(CONSISTENCY, worst <= 1.0, worst, 1.0)
 
 
 def random_passive_network(rng: np.random.Generator) -> NetworkDescription:
@@ -116,7 +161,8 @@ def random_passive_network(rng: np.random.Generator) -> NetworkDescription:
 def check_passive_unitarity(seed: int = 1) -> SuiteResult:
     """Shot-noise preservation: any passive lossy-but-tracked chain returns V = 1.
 
-    1000 random chains, each at 10 random frequencies.
+    1000 random chains, each evaluated once over an array of 10 random
+    frequencies.
     """
     rng = np.random.default_rng(seed)
     tol = 1e-12
@@ -124,13 +170,14 @@ def check_passive_unitarity(seed: int = 1) -> SuiteResult:
     for _ in range(1000):
         net = random_passive_network(rng)
         models = net.source_models()
-        for _ in range(10):
-            omega = 2.0 * math.pi * rng.uniform(1e3, 3e7)
-            fld = evaluate(net, omega)
-            for q in Quadrature:
-                worst = max(worst, abs(variance(fld, q, models) - 1.0))
-                worst = max(worst, abs(sum_coefficient_power(fld, q) - 1.0))
-    return SuiteResult("passive unitarity", worst <= tol, worst, tol)
+        fld = evaluate(net, 2.0 * math.pi * rng.uniform(1e3, 3e7, size=10))
+        for q in Quadrature:
+            worst = _fold(
+                worst,
+                abs(variance(fld, q, models) - 1.0),
+                abs(sum_coefficient_power(fld, q) - 1.0),
+            )
+    return SuiteResult(PASSIVE_UNITARITY, worst <= tol, worst, tol)
 
 
 def opa_output_variances(opa: OpaParams, omega: float) -> tuple[float, float]:
@@ -156,7 +203,7 @@ def check_uncertainty_product(seed: int = 2) -> SuiteResult:
         opa = draw_opa(rng)
         omega = 2.0 * math.pi * rng.uniform(1e3, 5e7)
         vp, vm = opa_output_variances(opa, omega)
-        worst = max(worst, max(0.0, 1.0 - vp * vm))
+        worst = _fold(worst, 1.0 - vp * vm)
         # Lossless single-port cavity: closed form and exact minimum uncertainty.
         kappa = rng.uniform(1e6, 3e8)
         g = rng.uniform(-0.95 * kappa, -1e-3 * kappa)
@@ -164,8 +211,8 @@ def check_uncertainty_product(seed: int = 2) -> SuiteResult:
         vp, vm = opa_output_variances(lossless, omega)
         ref_p = (omega**2 + (kappa + g) ** 2) / (omega**2 + (kappa - g) ** 2)
         ref_m = (omega**2 + (kappa - g) ** 2) / (omega**2 + (kappa + g) ** 2)
-        worst = max(worst, abs(vp - ref_p), abs(vm - ref_m), abs(vp * vm - 1.0))
-    return SuiteResult("uncertainty product", worst <= tol, worst, tol)
+        worst = _fold(worst, abs(vp - ref_p), abs(vm - ref_m), abs(vp * vm - 1.0))
+    return SuiteResult(UNCERTAINTY_PRODUCT, worst <= tol, worst, tol)
 
 
 def check_budget_closure() -> SuiteResult:
@@ -175,8 +222,8 @@ def check_budget_closure() -> SuiteResult:
     models = net.source_models({SRC: cfg.mach_zehnder.src_model})
     points = sweep(net, cfg.grid.frequencies(), models)
     tol = 1e-12
-    worst = max(abs(sum(pt.contributions.values()) - pt.v_plus) for pt in points)
-    return SuiteResult("budget closure", worst <= tol, worst, tol)
+    worst = _fold(0.0, *(abs(sum(pt.contributions.values()) - pt.v_plus) for pt in points))
+    return SuiteResult(BUDGET_CLOSURE, worst <= tol, worst, tol)
 
 
 def check_residual_scaling() -> SuiteResult:
@@ -196,14 +243,27 @@ def check_residual_scaling() -> SuiteResult:
     slope = np.polyfit(np.log(omegas), np.log(powers), 1)[0]
     tol = 0.01
     err = abs(slope - 2.0)
-    return SuiteResult("finite-frequency residual ~ Omega^2", err <= tol, err, tol)
+    return SuiteResult(RESIDUAL_SCALING, err <= tol, err, tol)
+
+
+def _run(name: str, suite: Callable[[], SuiteResult]) -> SuiteResult:
+    try:
+        return suite()
+    except Exception as exc:  # noqa: BLE001 - any error fails the suite by name
+        return SuiteResult(name, False, math.nan, math.nan, f"{type(exc).__name__}: {exc}")
 
 
 def run_all(seed: int = 0, draws: int = 10_000) -> list[SuiteResult]:
+    """Every suite, in order; one that raises gives a FAIL result naming the error.
+
+    ``draws`` is checked first, so a bad count raises before any suite runs.
+    """
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
     return [
-        check_consistency(draws=draws, seed=seed),
-        check_passive_unitarity(seed=seed + 1),
-        check_uncertainty_product(seed=seed + 2),
-        check_budget_closure(),
-        check_residual_scaling(),
+        _run(CONSISTENCY, lambda: check_consistency(draws=draws, seed=seed)),
+        _run(PASSIVE_UNITARITY, lambda: check_passive_unitarity(seed=seed + 1)),
+        _run(UNCERTAINTY_PRODUCT, lambda: check_uncertainty_product(seed=seed + 2)),
+        _run(BUDGET_CLOSURE, check_budget_closure),
+        _run(RESIDUAL_SCALING, check_residual_scaling),
     ]

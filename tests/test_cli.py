@@ -213,6 +213,21 @@ class TestVerifyCommand:
         assert "PASS" not in captured.out
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("error", [KeyError("src"), ValueError("bad entry")])
+    def test_raising_suite_prints_fail_and_exits_2(self, monkeypatch, error, capsys):
+        from sqznet import verify
+
+        def broken(**kwargs):
+            raise error
+
+        monkeypatch.setattr(verify, "check_passive_unitarity", broken)
+        assert run(["verify", "--draws", "100"]) == 2
+        captured = capsys.readouterr()
+        name = type(error).__name__
+        assert f"FAIL  passive unitarity: {name}: {error}\n" in captured.out
+        assert captured.out.count("PASS") == 4
+        assert captured.err == ""
+
     def test_verify_reproducible(self, capsys):
         run(["verify", "--seed", "11", "--draws", "100"])
         first = capsys.readouterr().out

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -10,14 +11,18 @@ from sqznet import (
     HomodyneParams,
     LinearField,
     LossElement,
+    NetworkDescription,
+    Opa,
     OpaParams,
     PhaseShifter,
     Quadrature,
+    epsilon1_plus,
     homodyne_readout,
     loss_chain,
     opa_from_mirrors,
     opa_transfer,
     source,
+    squeezed_vacuum_variance,
     sum_coefficient_power,
     variance,
 )
@@ -258,3 +263,100 @@ class TestHomodyne:
         composite = loss_chain([0.92, 0.975**2, 0.95, 0.88])
         assert composite == pytest.approx(0.731, abs=2e-3)
         assert 1.0 - composite == pytest.approx(0.27, abs=5e-3)
+
+
+OPA = OpaParams(1.0, 1.0, 0.0, 0.0)
+
+# Each class and closed form that takes design arrays, called once with one
+# bad entry among good ones; the message names the bad value.
+BAD_ARRAYS = [
+    (lambda: Beamsplitter(np.array([0.2, 1.2, 0.3])), "got 1.2"),
+    (lambda: LossElement(np.array([0.5, 1.0, 0.0]), "v"), "got 0.0"),
+    (lambda: OpaParams(np.array([1.0, -1.0]), 1.0, 0.0, 0.0), "kappa_ic must be >= 0, got -1.0"),
+    (lambda: OpaParams(1.0, 1.0, np.array([0.0, -0.5, 0.1]), 0.0), "kappa_loss .* got -0.5"),
+    (lambda: OpaParams(np.zeros(2), np.array([0.0, 1.0]), 0.0, 0.0), "kappa must be > 0"),
+    (lambda: OpaParams(1.0, 1.0, 0.0, np.array([0.0, -2.5, 1.0])), r"\|g\| = 2.5 .* kappa = 2$"),
+    (lambda: epsilon1_plus(np.array([0.5, 1.0]), OPA), "got 1.0"),
+    (lambda: squeezed_vacuum_variance(np.array([0.5, -0.1]), OPA), "got -0.1"),
+]
+
+# The same checks on plain numbers keep their messages word for word.
+BAD_SCALARS = [
+    (lambda: Beamsplitter(1.2), "beamsplitter reflectivity must be in [0, 1], got 1.2"),
+    (lambda: LossElement(0.0, "v"), "loss transmission must be in (0, 1], got 0.0"),
+    (lambda: OpaParams(-1.0, 1.0, 0.0, 0.0), "kappa_ic must be >= 0, got -1.0"),
+    (lambda: OpaParams(0.0, 0.0, 0.0, 0.0), "total decay rate kappa must be > 0"),
+    (lambda: OpaParams(1.0, 1.0, 0.0, -2.5), "|g| = 2.5 must be below threshold kappa = 2"),
+    (lambda: epsilon1_plus(1.0, OPA), "epsilon2 must lie strictly inside (0, 1), got 1.0"),
+    (lambda: squeezed_vacuum_variance(-0.1, OPA), "epsilon2 must be in [0, 1], got -0.1"),
+]
+
+
+class TestArrayParams:
+    @pytest.mark.parametrize(
+        "make, match",
+        BAD_ARRAYS,
+        ids=["bs", "loss", "kappa_ic", "kappa_loss", "kappa", "threshold", "eps1_plus", "sq_vac"],
+    )
+    def test_one_bad_entry_rejected(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
+    @pytest.mark.parametrize(
+        "make, message",
+        BAD_SCALARS,
+        ids=["bs", "loss", "kappa_ic", "kappa", "threshold", "eps1_plus", "sq_vac"],
+    )
+    def test_scalar_messages(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_good_arrays_accepted(self):
+        eps = np.array([0.0, 0.3, 1.0])
+        assert Beamsplitter(eps).epsilon is eps
+        opa = OpaParams(np.array([1.0, 2.0]), 1.0, 0.0, np.array([-1.5, 2.9]))
+        assert opa.kappa.tolist() == [2.0, 3.0]
+
+    def test_loss_array_matches_scalars(self):
+        # eta = 1 injects no vacuum on its own; in a stack its coefficient is 0.
+        etas = np.array([0.3, 1.0, 0.81])
+        (out,) = LossElement(etas, "v").apply(source("a", 0.0))
+        for i, eta in enumerate(etas.tolist()):
+            (ref,) = LossElement(eta, "v").apply(source("a", 0.0))
+            for sid in ("a", "v"):
+                for q in Quadrature:
+                    assert out.coefficient(sid, q)[i] == ref.coefficient(sid, q)
+
+    def test_equal_arrays_hash_and_compare_equal(self):
+        def net(eps, eta, g):
+            return NetworkDescription(
+                elements={
+                    "bs": Beamsplitter(eps),
+                    "opa": Opa(OpaParams(1.0, 1.0, 0.5, g), "oc", "cav"),
+                    "loss": LossElement(eta, "v"),
+                },
+                edges=((("bs", 0), ("opa", 0)), (("opa", 0), ("loss", 0))),
+                inputs={("bs", 0): "a", ("bs", 1): "b"},
+                detector=("loss", 0),
+            )
+
+        def identity(n):
+            # The same key a tracer takes of a built network.
+            return hash(
+                (tuple(n.elements.items()), n.edges, tuple(n.inputs.items()), n.detector, n.detection)
+            )
+
+        a = net(np.array([0.2, 0.7]), np.array([0.5, 0.9]), np.array([-1.0, 0.5]))
+        b = net(np.array([0.2, 0.7]), np.array([0.5, 0.9]), np.array([-1.0, 0.5]))
+        c = net(np.array([0.2, 0.7]), np.array([0.5, 0.9]), np.array([-1.0, 0.6]))
+        assert a.elements == b.elements
+        assert identity(a) == identity(b)
+        assert a.elements["opa"] != c.elements["opa"]
+        assert a.elements["bs"] != Beamsplitter(np.array([0.2, 0.7, 0.1]))
+
+    def test_scalar_hash_unchanged(self):
+        # Plain fields keep the dataclass hash: the hash of the field tuple.
+        assert hash(Beamsplitter(0.3)) == hash((0.3,))
+        assert hash(OPA) == hash((1.0, 1.0, 0.0, 0.0))
+        assert Beamsplitter(np.float64(0.3)) == Beamsplitter(0.3)

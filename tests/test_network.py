@@ -95,7 +95,47 @@ class TestEvaluate:
             assert abs(evaluate(net, 0.0).coefficient(SRC, Quadrature.PLUS)) < 1e-12
 
 
+class TestStackedDesigns:
+    def test_stack_matches_each_design(self, rng):
+        # One network over 200 stacked designs against 200 scalar networks.
+        # Each coefficient is compared relative to the largest coefficient of
+        # its design and quadrature: a single coefficient can be small by
+        # cancellation, and numpy's complex arithmetic is an ulp off CPython's.
+        for _ in range(3):
+            n = 200
+            opas = [draw_opa(rng) for _ in range(n)]
+            eps1, eps2 = rng.uniform(0.01, 0.99, n), rng.uniform(0.01, 0.99, n)
+            phi = float(rng.uniform(-math.pi, math.pi))
+            omega = float(2 * math.pi * 10 ** rng.uniform(3, 7))
+            rates = np.array([(o.kappa_ic, o.kappa_oc, o.kappa_loss, o.g) for o in opas]).T
+            stacked = build_mach_zehnder(
+                mz_params(eps1, eps2, phi, OpaParams(*rates), propagation_eta=0.9)
+            )
+            fld = evaluate(stacked, omega)
+            v = variance(fld, Quadrature.PLUS, stacked.source_models())
+            for i in range(n):
+                net = build_mach_zehnder(
+                    mz_params(float(eps1[i]), float(eps2[i]), phi, opas[i], propagation_eta=0.9)
+                )
+                ref = evaluate(net, omega)
+                assert set(fld.coeffs) == set(ref.coeffs)
+                for q in Quadrature:
+                    scale = max(abs(pair[q.index]) for pair in ref.coeffs.values())
+                    for sid, pair in ref.coeffs.items():
+                        got = np.broadcast_to(fld.coefficient(sid, q), (n,))[i]
+                        assert abs(got - pair[q.index]) <= 1e-15 * scale
+                v_ref = variance(ref, Quadrature.PLUS, net.source_models())
+                assert abs(v[i] - v_ref) <= 1e-15 * v_ref
+
+
 class TestValidation:
+    @pytest.mark.parametrize("field", ["epsilon1", "epsilon2"])
+    def test_mach_zehnder_splitters_must_be_beamsplitters(self, field):
+        # A bare reflectivity used to build, then fail later on attribute access.
+        kw = {"epsilon1": Beamsplitter(0.5), "epsilon2": Beamsplitter(0.99), field: 0.5}
+        with pytest.raises(TypeError, match=f"{field} must be a Beamsplitter, got float"):
+            MachZehnderParams(opa=OpaParams(1.0, 1.0, 0.0, 0.0), phi=0.0, **kw)
+
     def test_cycle_detected(self):
         with pytest.raises(NetworkError, match="cycle"):
             NetworkDescription(
