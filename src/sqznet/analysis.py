@@ -13,11 +13,10 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 
-from .core import TWO_PI, NoiseVarianceModel, Quadrature
-from .elements import Beamsplitter, OpaParams, _failing, homodyne_readout
+from .core import TWO_PI, NoiseVarianceModel, Quadrature, _require
+from .elements import Beamsplitter, OpaParams, homodyne_readout
 from .network import (
     SRC,
-    HomodyneParams,
     MachZehnderParams,
     SpectrumPoint,
     bare_opa_params,
@@ -35,10 +34,28 @@ class CancellationSolution:
     residual: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon1 <= 1.0:
-            raise ValueError(f"epsilon1 must be in [0, 1], got {self.epsilon1}")
-        if self.residual < 0.0:
-            raise ValueError(f"residual must be >= 0, got {self.residual}")
+        if (ok := (0.0 <= self.epsilon1) & (self.epsilon1 <= 1.0)) is not True:
+            _require(ok, "epsilon1 must be in [0, 1], got {}", self.epsilon1)
+        if (ok := abs(self.phi) < math.inf) is not True:
+            _require(ok, "phi must be finite, got {}", self.phi)
+        if (ok := (0.0 <= self.residual) & (self.residual < math.inf)) is not True:
+            _require(ok, "residual must be finite and >= 0, got {}", self.residual)
+
+
+def _cancelling_eps1(epsilon2: float, opa: OpaParams, omega: float) -> float:
+    """eps1 = 1 - [1 + eps2/(1-eps2) * |T|^2]^-1 that nulls the source at ``omega``.
+
+    T = sqrt(4*k_ic*k_oc) / (i*omega + kappa - g) is the squeezed arm's seed
+    transfer; |T|^2 is written in units of kappa, so that omega = 0 gives the
+    bits :func:`epsilon1_plus` always gave.  Every argument may be an array.
+    """
+    if (ok := (0.0 < epsilon2) & (epsilon2 < 1.0)) is not True:
+        _require(ok, "epsilon2 must lie strictly inside (0, 1), got {}", epsilon2)
+    kappa = opa.kappa
+    bracket = 1.0 + (epsilon2 / (1.0 - epsilon2)) * (
+        4.0 * opa.kappa_ic * opa.kappa_oc / kappa**2
+    ) / ((1.0 - opa.g / kappa) ** 2 + (omega / kappa) ** 2)
+    return 1.0 - 1.0 / bracket
 
 
 def epsilon1_plus(epsilon2: float, opa: OpaParams) -> float:
@@ -48,14 +65,7 @@ def epsilon1_plus(epsilon2: float, opa: OpaParams) -> float:
 
     ``epsilon2`` and the fields of ``opa`` may be arrays over designs.
     """
-    ok = (0.0 < epsilon2) & (epsilon2 < 1.0)
-    if ok is not True and (bad := _failing(ok, epsilon2)) is not None:
-        raise ValueError(f"epsilon2 must lie strictly inside (0, 1), got {bad[0]}")
-    kappa = opa.kappa
-    bracket = 1.0 + (epsilon2 / (1.0 - epsilon2)) * (
-        4.0 * opa.kappa_ic * opa.kappa_oc / kappa**2
-    ) / (1.0 - opa.g / kappa) ** 2
-    return 1.0 - 1.0 / bracket
+    return _cancelling_eps1(epsilon2, opa, 0.0)
 
 
 def squeezed_vacuum_variance(epsilon2: float, opa: OpaParams) -> float:
@@ -63,22 +73,15 @@ def squeezed_vacuum_variance(epsilon2: float, opa: OpaParams) -> float:
 
     ``epsilon2`` and the fields of ``opa`` may be arrays over designs.
     """
-    ok = (0.0 <= epsilon2) & (epsilon2 <= 1.0)
-    if ok is not True and (bad := _failing(ok, epsilon2)) is not None:
-        raise ValueError(f"epsilon2 must be in [0, 1], got {bad[0]}")
+    if (ok := (0.0 <= epsilon2) & (epsilon2 <= 1.0)) is not True:
+        _require(ok, "epsilon2 must be in [0, 1], got {}", epsilon2)
     return 1.0 + epsilon2 * 4.0 * opa.kappa_oc * opa.g / (opa.kappa - opa.g) ** 2
 
 
 def _src_coefficient(
     p: MachZehnderParams, eps1: float, phi: float, omega: float, block_reference: bool = False
 ) -> complex:
-    bare = replace(
-        p,
-        epsilon1=Beamsplitter(eps1),
-        phi=phi,
-        propagation_eta=1.0,
-        detection=HomodyneParams(),
-    )
+    bare = replace(p, epsilon1=Beamsplitter(eps1), phi=phi, propagation_eta=1.0)
     fld = evaluate(build_mach_zehnder(bare, block_reference), omega)
     return fld.coefficient(SRC, Quadrature.PLUS)
 
@@ -95,14 +98,8 @@ def solve_cancellation_numeric(
     coefficient of the network built at that point is the residual; raises
     if it exceeds ``tol``.
     """
-    eps2 = p.epsilon2.epsilon
-    if not 0.0 < eps2 < 1.0:
-        raise ValueError(f"epsilon2 must lie strictly inside (0, 1), got {eps2}")
-    opa = p.opa
-    detuning = opa.kappa - opa.g
-    t_squared = 4.0 * opa.kappa_ic * opa.kappa_oc / (omega**2 + detuning**2)
-    eps1 = 1.0 - 1.0 / (1.0 + (eps2 / (1.0 - eps2)) * t_squared)
-    phi = math.atan2(omega, detuning)
+    eps1 = _cancelling_eps1(p.epsilon2.epsilon, p.opa, omega)
+    phi = math.atan2(omega, p.opa.kappa - p.opa.g)
     residual = abs(_src_coefficient(p, eps1, phi, omega))
     if residual > tol:
         raise ArithmeticError(
@@ -120,8 +117,8 @@ def suppression_db(p: MachZehnderParams, omega: float, mismatch: float) -> float
     where (eps1_solved, phi_solved) null the source coefficient at
     ``omega``.  Exact cancellation (mismatch = 0) returns math.inf.
     """
-    if mismatch < 0.0:
-        raise ValueError(f"mismatch must be >= 0, got {mismatch}")
+    if (ok := (0.0 <= mismatch) & (mismatch < math.inf)) is not True:
+        _require(ok, "mismatch must be finite and >= 0, got {}", mismatch)
     sol = solve_cancellation_numeric(p, omega)
     if mismatch == 0.0:
         return math.inf
@@ -143,8 +140,8 @@ def loss_chain(etas: Sequence[float]) -> float:
     """
     composite = 1.0
     for eta in etas:
-        if not 0.0 < eta <= 1.0:
-            raise ValueError(f"each efficiency must be in (0, 1], got {eta}")
+        if (ok := (0.0 < eta) & (eta <= 1.0)) is not True:
+            _require(ok, "each efficiency must be in (0, 1], got {}", eta)
         composite *= eta
     return composite
 

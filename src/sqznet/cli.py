@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from dataclasses import replace
 
 from .analysis import bare_source_variance
-from .config import ConfigError, PRESETS, GridSpec, ScenarioConfig, load_config, load_preset
+from .config import ConfigError, PRESETS, ScenarioConfig, load_config, load_preset
 from .network import DARK, DETECTION, SRC, build_mach_zehnder, sweep
 
 
@@ -19,24 +20,25 @@ def write_csv(cfg: ScenarioConfig, out_path: str) -> None:
     """Sweep the scenario and write one CSV row per grid frequency.
 
     Columns: frequency_hz, v_total, v_total_db, shot_ref, then the optional
-    bare-OPA comparison curve, then per-source budget columns.
+    bare-OPA comparison curve, then per-source budget columns.  The file is
+    opened first, so an unwritable path fails before any point is computed.
     """
-    net = build_mach_zehnder(cfg.mach_zehnder)
-    models = net.source_models({SRC: cfg.mach_zehnder.src_model})
-    grid = cfg.grid.frequencies()
-    points = sweep(net, grid, models)
-    budget_cols: list[str] = []
-    if cfg.include_budget:
-        budget_cols = list(net.source_ids()) + [DETECTION, DARK]
-    header = ["frequency_hz", "v_total", "v_total_db", "shot_ref"]
-    if cfg.include_bare_opa:
-        header.append("v_bare_opa")
-        bare = bare_source_variance(cfg.mach_zehnder, grid, models)
-    header += budget_cols
-    # 12 significant digits: independent rounding of the budget columns must
-    # stay well inside the 1e-9 closure guarantee on the formatted values.
-    row_fmt = ",".join(["%.11e"] * len(header)) + "\n"
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        net = build_mach_zehnder(cfg.mach_zehnder)
+        models = net.source_models({SRC: cfg.mach_zehnder.src_model})
+        grid = cfg.grid.frequencies()
+        points = sweep(net, grid, models)
+        budget_cols: list[str] = []
+        if cfg.include_budget:
+            budget_cols = list(net.source_ids()) + [DETECTION, DARK]
+        header = ["frequency_hz", "v_total", "v_total_db", "shot_ref"]
+        if cfg.include_bare_opa:
+            header.append("v_bare_opa")
+            bare = bare_source_variance(cfg.mach_zehnder, grid, models)
+        header += budget_cols
+        # 12 significant digits: independent rounding of the budget columns must
+        # stay well inside the 1e-9 closure guarantee on the formatted values.
+        row_fmt = ",".join(["%.11e"] * len(header)) + "\n"
         fh.write(",".join(header) + "\n")
         for i, pt in enumerate(points):
             row = [pt.frequency_hz, pt.v_plus, pt.v_plus_db, 1.0]
@@ -73,21 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     cfg = load_preset(args.preset) if args.preset else load_config(args.config)
-    grid = cfg.grid
-    if any(v is not None for v in (args.fmin, args.fmax, args.points, args.spacing)):
-        grid = GridSpec(
-            min_hz=args.fmin if args.fmin is not None else grid.min_hz,
-            max_hz=args.fmax if args.fmax is not None else grid.max_hz,
-            points=args.points if args.points is not None else grid.points,
-            spacing=args.spacing if args.spacing is not None else grid.spacing,
-        )
-    cfg = ScenarioConfig(
-        mach_zehnder=cfg.mach_zehnder,
-        grid=grid,
-        include_budget=cfg.include_budget or args.budget,
-        include_bare_opa=cfg.include_bare_opa,
-    )
-    write_csv(cfg, args.out)
+    grid_flags = dict(min_hz=args.fmin, max_hz=args.fmax, points=args.points, spacing=args.spacing)
+    grid = replace(cfg.grid, **{k: v for k, v in grid_flags.items() if v is not None})
+    write_csv(replace(cfg, grid=grid, include_budget=cfg.include_budget or args.budget), args.out)
     return 0
 
 
@@ -104,7 +94,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run_sweep(args) if args.command == "sweep" else _run_verify(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

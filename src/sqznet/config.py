@@ -27,6 +27,10 @@ class ConfigError(ValueError):
     """Scenario file failed to parse or validate."""
 
 
+#: Most frequencies one grid may hold; a sweep keeps every point in memory.
+MAX_GRID_POINTS = 1_000_000
+
+
 @dataclass(frozen=True)
 class GridSpec:
     min_hz: float
@@ -39,8 +43,8 @@ class GridSpec:
             raise ConfigError(f"grid.min_hz must be finite and > 0, got {self.min_hz}")
         if not self.min_hz < self.max_hz < math.inf:
             raise ConfigError("grid.max_hz must be finite and exceed grid.min_hz")
-        if self.points < 2:
-            raise ConfigError(f"grid.points must be >= 2, got {self.points}")
+        if not 2 <= self.points <= MAX_GRID_POINTS:
+            raise ConfigError(f"grid.points must be in [2, {MAX_GRID_POINTS}], got {self.points}")
         if self.spacing not in ("log", "linear"):
             raise ConfigError(f"grid.spacing must be 'log' or 'linear', got '{self.spacing}'")
 
@@ -94,24 +98,25 @@ def _number(section: dict, key: str, where: str, default: float | None = None) -
     return number
 
 
+def _build(what: str, make, *args, **kwargs):
+    """Call ``make(*args, **kwargs)``; its ``ValueError`` becomes ``invalid <what>: …``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
 def _parse_opa(section: Any) -> OpaParams:
     where = "mach_zehnder.opa"
     if isinstance(section, dict) and "kappa_ic" in section:
         rates = ("kappa_ic", "kappa_oc", "kappa_loss", "g")
         _require_keys(section, set(rates), where)
-        try:
-            return OpaParams(*(_number(section, key, where) for key in rates))
-        except ValueError as exc:
-            raise ConfigError(f"invalid OpaParams: {exc}") from exc
+        return _build("OpaParams", OpaParams, *(_number(section, key, where) for key in rates))
     mirrors = ("linewidth_hz", "t_ic", "t_oc", "t_loss", "g_over_kappa")
     _require_keys(section, {*mirrors, "linewidth_convention"}, where)
-    try:
-        return opa_from_mirrors(
-            *(_number(section, key, where) for key in mirrors),
-            linewidth_convention=section.get("linewidth_convention", "fwhm"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid OPA mirror parameters: {exc}") from exc
+    numbers = [_number(section, key, where) for key in mirrors]
+    convention = section.get("linewidth_convention", "fwhm")
+    return _build("OPA mirror parameters", opa_from_mirrors, *numbers, convention)
 
 
 def _parse_source_noise(section: Any) -> NoiseVarianceModel:
@@ -133,11 +138,8 @@ def _parse_source_noise(section: Any) -> NoiseVarianceModel:
         where = "source_noise.low_freq_excess"
         _require_keys(lf, {"amplitude", "exponent"}, where)
         low = (_number(lf, "amplitude", where), _number(lf, "exponent", where))
-    try:
-        base = _number(section, "base", "source_noise", 1.0)
-        return NoiseVarianceModel(base=base, peaks=tuple(peaks), low_freq_excess=low)
-    except ValueError as exc:
-        raise ConfigError(f"invalid source_noise: {exc}") from exc
+    base = _number(section, "base", "source_noise", 1.0)
+    return _build("source_noise", NoiseVarianceModel, base, tuple(peaks), low)
 
 
 def parse_config(data: dict) -> ScenarioConfig:
@@ -159,10 +161,7 @@ def parse_config(data: dict) -> ScenarioConfig:
     }
     _require_keys(mz, allowed, "mach_zehnder")
     opa = _parse_opa(_get(mz, "opa", "mach_zehnder"))
-    try:
-        epsilon2 = Beamsplitter(_number(mz, "epsilon2", "mach_zehnder"))
-    except ValueError as exc:
-        raise ConfigError(f"invalid epsilon2: {exc}") from exc
+    epsilon2 = _build("epsilon2", Beamsplitter, _number(mz, "epsilon2", "mach_zehnder"))
     mismatch = _number(mz, "epsilon1_mismatch", "mach_zehnder", 0.0)
     if _get(mz, "epsilon1", "mach_zehnder") == "auto":
         try:
@@ -173,23 +172,15 @@ def parse_config(data: dict) -> ScenarioConfig:
         if mismatch:
             raise ConfigError("epsilon1_mismatch requires epsilon1: auto")
         eps1 = _number(mz, "epsilon1", "mach_zehnder")
-    try:
-        epsilon1 = Beamsplitter(eps1)
-    except ValueError as exc:
-        raise ConfigError(f"invalid epsilon1: {exc}") from exc
+    epsilon1 = _build("epsilon1", Beamsplitter, eps1)
 
     det_raw = mz.get("detection")
     if det_raw is None:
         det_raw = {}
-    _require_keys(det_raw, {"pd_efficiency", "visibility", "dark_rel"}, "mach_zehnder.detection")
-    try:
-        detection = HomodyneParams(
-            pd_efficiency=_number(det_raw, "pd_efficiency", "mach_zehnder.detection", 1.0),
-            visibility=_number(det_raw, "visibility", "mach_zehnder.detection", 1.0),
-            dark_rel=_number(det_raw, "dark_rel", "mach_zehnder.detection", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid detection parameters: {exc}") from exc
+    defaults = {"pd_efficiency": 1.0, "visibility": 1.0, "dark_rel": 0.0}
+    _require_keys(det_raw, set(defaults), "mach_zehnder.detection")
+    fields = {k: _number(det_raw, k, "mach_zehnder.detection", v) for k, v in defaults.items()}
+    detection = _build("detection parameters", HomodyneParams, **fields)
 
     # The carrier power and the phase modulation set only the classical mean
     # field, which no computed spectrum depends on: checked, then dropped.
@@ -203,18 +194,17 @@ def parse_config(data: dict) -> ScenarioConfig:
             raise ConfigError("mach_zehnder.modulation.depth must be >= 0")
 
     src_model = _parse_source_noise(_get(data, "source_noise", "<top level>"))
-    try:
-        params = MachZehnderParams(
-            epsilon1=epsilon1,
-            epsilon2=epsilon2,
-            opa=opa,
-            phi=_number(mz, "phi", "mach_zehnder", 0.0),
-            src_model=src_model,
-            detection=detection,
-            propagation_eta=_number(mz, "propagation_eta", "mach_zehnder", 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid mach_zehnder parameters: {exc}") from exc
+    params = _build(
+        "mach_zehnder parameters",
+        MachZehnderParams,
+        epsilon1=epsilon1,
+        epsilon2=epsilon2,
+        opa=opa,
+        phi=_number(mz, "phi", "mach_zehnder", 0.0),
+        src_model=src_model,
+        detection=detection,
+        propagation_eta=_number(mz, "propagation_eta", "mach_zehnder", 1.0),
+    )
 
     grid_raw = _get(data, "grid", "<top level>")
     _require_keys(grid_raw, {"min_hz", "max_hz", "points", "spacing"}, "grid")

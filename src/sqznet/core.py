@@ -9,8 +9,9 @@ input variance of each source.
 
 The frequency may be a float or a numpy array over a whole grid: every
 operation here uses only arithmetic that works on both, so a coefficient
-is then an array over that grid.  This module never imports numpy itself;
-a float frequency keeps the whole computation in plain Python.
+is then an array over that grid.  This module imports numpy only to name
+the bad entry of an array; a float keeps the whole computation in plain
+Python.
 
 Only fluctuations are modelled.  The classical mean field (the carrier and
 any bright modulation sidebands) sets no noise spectrum, so it is not
@@ -25,6 +26,31 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
+
+
+def _any(cond) -> bool:
+    """Whether ``cond`` holds anywhere: a bool, or an array of them."""
+    return cond.any() if hasattr(cond, "any") else cond
+
+
+def _require(ok, message: str, *values) -> None:
+    """Raise ``ValueError(message.format(*values))`` unless ``ok`` holds everywhere.
+
+    The package's one parameter check.  ``ok`` is a positive predicate, so
+    NaN fails it; it is a bool, or an array of them over designs, and then
+    the message shows each value at the first failing design.  Callers test
+    ``ok is not True`` first, so a passing float check makes no call.
+    """
+    if getattr(ok, "ndim", 0):
+        if ok.all():
+            return
+        import numpy as np
+
+        i = int(ok.argmin())
+        values = tuple(np.broadcast_to(v, ok.shape).flat[i].item() for v in values)
+    elif ok:
+        return
+    raise ValueError(message.format(*values))
 
 
 class Quadrature(enum.Enum):
@@ -45,7 +71,8 @@ class NoiseVarianceModel:
     ``base`` is the white floor (1.0 for vacuum or a coherent state).
     ``peaks`` are Lorentzian excess-noise features given as
     (center_hz, half_width_hz, peak_excess); ``low_freq_excess`` adds an
-    ``amplitude / f**exponent`` rise (f in Hz).
+    ``amplitude / f**exponent`` rise (f in Hz).  Every number must be finite,
+    and may be an array over designs.
     """
 
     base: float = 1.0
@@ -53,19 +80,23 @@ class NoiseVarianceModel:
     low_freq_excess: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.base < 0.0:
-            raise ValueError(f"variance base must be >= 0, got {self.base}")
+        if (ok := (0.0 <= self.base) & (self.base < math.inf)) is not True:
+            _require(ok, "variance base must be finite and >= 0, got {}", self.base)
         object.__setattr__(self, "peaks", tuple(tuple(p) for p in self.peaks))
         for center, half_width, excess in self.peaks:
-            if half_width <= 0.0:
-                raise ValueError(f"peak half-width must be > 0, got {half_width}")
-            if excess < 0.0:
-                raise ValueError(f"peak excess must be >= 0, got {excess}")
+            if (ok := abs(center) < math.inf) is not True:
+                _require(ok, "peak center must be finite, got {}", center)
+            if (ok := (0.0 < half_width) & (half_width < math.inf)) is not True:
+                _require(ok, "peak half-width must be finite and > 0, got {}", half_width)
+            if (ok := (0.0 <= excess) & (excess < math.inf)) is not True:
+                _require(ok, "peak excess must be finite and >= 0, got {}", excess)
         if self.low_freq_excess is not None:
             amplitude, exponent = self.low_freq_excess
-            if amplitude < 0.0:
-                raise ValueError(f"low-frequency amplitude must be >= 0, got {amplitude}")
-            object.__setattr__(self, "low_freq_excess", (float(amplitude), float(exponent)))
+            if (ok := (0.0 <= amplitude) & (amplitude < math.inf)) is not True:
+                _require(ok, "low-frequency amplitude must be finite and >= 0, got {}", amplitude)
+            if (ok := abs(exponent) < math.inf) is not True:
+                _require(ok, "low-frequency exponent must be finite, got {}", exponent)
+            object.__setattr__(self, "low_freq_excess", (amplitude, exponent))
 
     def evaluate(self, omega):
         """Variance at sideband angular frequency ``omega`` (rad/s).
@@ -78,9 +109,8 @@ class NoiseVarianceModel:
             v += excess * half_width**2 / ((f - center) ** 2 + half_width**2)
         if self.low_freq_excess is not None:
             amplitude, exponent = self.low_freq_excess
-            if amplitude > 0.0:
-                zero = f == 0.0  # a bool, or an array of them over a grid
-                if zero.any() if hasattr(zero, "any") else zero:
+            if _any(amplitude > 0.0):
+                if _any(f == 0.0):
                     raise ValueError("low-frequency excess is undefined at zero frequency")
                 v += amplitude / f**exponent
         return v
@@ -122,13 +152,11 @@ def combine(ca: complex, a: LinearField, cb: complex, b: LinearField) -> LinearF
     """Linear combination ``ca*a + cb*b`` of two fields at the same frequency."""
     # Identity first: fields of one evaluation share one frequency object.
     # Otherwise the shapes must match (arrays of other shapes would
-    # broadcast) and so must every value: a bool, or an array of them.
-    if a.omega is not b.omega:
-        same = getattr(a.omega, "shape", ()) == getattr(b.omega, "shape", ()) and a.omega == b.omega
-        if not (same.all() if hasattr(same, "all") else same):
-            raise ValueError(
-                f"cannot combine fields at different frequencies ({a.omega} vs {b.omega})"
-            )
+    # broadcast) and so must every value.
+    if a.omega is not b.omega and (
+        getattr(a.omega, "shape", ()) != getattr(b.omega, "shape", ()) or _any(a.omega != b.omega)
+    ):
+        raise ValueError(f"cannot combine fields at different frequencies ({a.omega} vs {b.omega})")
     coeffs: dict[str, tuple[complex, complex]] = {}
     for k, (cp, cm) in a.coeffs.items():
         coeffs[k] = (ca * cp, ca * cm)

@@ -14,13 +14,15 @@ with the reflected port picking up the minus sign on the second input.
 The OPA below threshold acts on the amplitude quadrature with gain g and
 on the phase quadrature with gain -g.
 
-The design parameters of :class:`Beamsplitter`, :class:`LossElement` and
-:class:`OpaParams` may be numpy arrays over designs, just as a field's
-frequency may be an array over a grid: the same code then builds and
-evaluates a stack of designs at once, and every coefficient becomes an
-array over them.  Validation holds element-wise and names the first bad
-entry; a float keeps the plain-Python path and never loads numpy.
-They compare and hash by value, an array keyed by its bytes.
+The design parameters of :class:`Beamsplitter`, :class:`PhaseShifter`,
+:class:`LossElement`, :class:`OpaParams` and :class:`HomodyneParams` may be
+numpy arrays over designs, just as a field's frequency may be an array over
+a grid: the same code then builds and evaluates a stack of designs at once,
+and every coefficient becomes an array over them.  Every check goes through
+:func:`sqznet.core._require`: it holds element-wise, rejects NaN and +-inf
+and names the first bad entry; a float keeps the plain-Python path and
+never loads numpy.  These classes compare and hash by value, an array keyed
+by its bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .core import LinearField, NoiseVarianceModel, Quadrature, combine, variance
+from .core import LinearField, NoiseVarianceModel, Quadrature, _any, _require, combine, variance
 
 
 def _sqrt(x):
@@ -40,29 +42,6 @@ def _sqrt(x):
     import numpy as np
 
     return np.sqrt(x)
-
-
-def _any(cond) -> bool:
-    """Whether ``cond`` holds anywhere: a bool, or an array of them over designs."""
-    return cond.any() if hasattr(cond, "any") else cond
-
-
-def _failing(ok, *values) -> tuple | None:
-    """None if ``ok`` holds everywhere, else ``values`` where it first fails.
-
-    ``ok`` is a bool, or an array of them over designs; then each value
-    (an array over the same designs, or one shared number) is taken at the
-    first failing design, so that an error message formats plain numbers.
-    Callers test ``ok is not True`` first, so a float check makes no call.
-    """
-    if not getattr(ok, "ndim", 0):  # a bool, or a numpy scalar's
-        return None if ok else values
-    if ok.all():
-        return None
-    import numpy as np
-
-    i = int(ok.argmin())
-    return tuple(np.broadcast_to(v, ok.shape).flat[i].item() for v in values)
 
 
 def _key(value):
@@ -107,16 +86,15 @@ class OpaParams(_ByValue):
     def __post_init__(self) -> None:
         for name in ("kappa_ic", "kappa_oc", "kappa_loss"):
             rate = getattr(self, name)
-            ok = rate >= 0.0
-            if ok is not True and (bad := _failing(ok, rate)) is not None:
-                raise ValueError(f"{name} must be >= 0, got {bad[0]}")
+            if (ok := rate >= 0.0) is not True:
+                _require(ok, name + " must be >= 0, got {}", rate)
+            if (ok := rate < math.inf) is not True:
+                _require(ok, name + " must be finite, got {}", rate)
         kappa = self.kappa
-        ok = kappa > 0.0
-        if ok is not True and _failing(ok) is not None:
-            raise ValueError("total decay rate kappa must be > 0")
-        ok = abs(self.g) < kappa
-        if ok is not True and (bad := _failing(ok, abs(self.g), kappa)) is not None:
-            raise ValueError(f"|g| = {bad[0]:.4g} must be below threshold kappa = {bad[1]:.4g}")
+        if (ok := kappa > 0.0) is not True:
+            _require(ok, "total decay rate kappa must be > 0")
+        if (ok := abs(self.g) < kappa) is not True:
+            _require(ok, "|g| = {:.4g} must be below threshold kappa = {:.4g}", abs(self.g), kappa)
 
     @property
     def kappa(self) -> float:
@@ -142,17 +120,18 @@ def opa_from_mirrors(
     convention used here the half width at half maximum in angular frequency
     equals kappa, so an FWHM linewidth in Hz gives kappa = pi * linewidth.
     """
-    if linewidth_hz <= 0.0:
-        raise ValueError(f"linewidth must be > 0, got {linewidth_hz}")
-    if min(t_ic, t_oc, t_loss) < 0.0 or t_ic + t_oc + t_loss <= 0.0:
-        raise ValueError("mirror transmissions must be >= 0 with a positive sum")
+    if (ok := (0.0 < linewidth_hz) & (linewidth_hz < math.inf)) is not True:
+        _require(ok, "linewidth must be finite and > 0, got {}", linewidth_hz)
+    t_total = t_ic + t_oc + t_loss
+    ok = (0.0 <= t_ic) & (0.0 <= t_oc) & (0.0 <= t_loss)
+    if (ok := ok & (0.0 < t_total) & (t_total < math.inf)) is not True:
+        _require(ok, "mirror transmissions must be finite and >= 0 with a positive sum")
     if linewidth_convention == "fwhm":
         kappa = math.pi * linewidth_hz
     elif linewidth_convention == "hwhm":
         kappa = 2.0 * math.pi * linewidth_hz
     else:
         raise ValueError(f"unknown linewidth convention '{linewidth_convention}'")
-    t_total = t_ic + t_oc + t_loss
     return OpaParams(
         kappa_ic=kappa * t_ic / t_total,
         kappa_oc=kappa * t_oc / t_total,
@@ -161,12 +140,12 @@ def opa_from_mirrors(
     )
 
 
-@dataclass(frozen=True)
-class HomodyneParams:
+@dataclass(frozen=True, eq=False)
+class HomodyneParams(_ByValue):
     """Detection chain: photodiode efficiency, fringe visibility, dark noise.
 
     ``dark_rel`` is the electronic dark noise as a linear variance relative
-    to shot noise.
+    to shot noise.  Each field may be an array over designs.
     """
 
     pd_efficiency: float = 1.0
@@ -174,12 +153,12 @@ class HomodyneParams:
     dark_rel: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.pd_efficiency <= 1.0:
-            raise ValueError(f"pd_efficiency must be in (0, 1], got {self.pd_efficiency}")
-        if not 0.0 < self.visibility <= 1.0:
-            raise ValueError(f"visibility must be in (0, 1], got {self.visibility}")
-        if self.dark_rel < 0.0:
-            raise ValueError(f"dark_rel must be >= 0, got {self.dark_rel}")
+        for name in ("pd_efficiency", "visibility"):
+            value = getattr(self, name)
+            if (ok := (0.0 < value) & (value <= 1.0)) is not True:
+                _require(ok, name + " must be in (0, 1], got {}", value)
+        if (ok := (0.0 <= self.dark_rel) & (self.dark_rel < math.inf)) is not True:
+            _require(ok, "dark_rel must be finite and >= 0, got {}", self.dark_rel)
 
     @property
     def eta_eff(self) -> float:
@@ -217,9 +196,8 @@ class Beamsplitter(_ByValue, Element):
     ports = 2
 
     def __post_init__(self) -> None:
-        ok = (0.0 <= self.epsilon) & (self.epsilon <= 1.0)
-        if ok is not True and (bad := _failing(ok, self.epsilon)) is not None:
-            raise ValueError(f"beamsplitter reflectivity must be in [0, 1], got {bad[0]}")
+        if (ok := (0.0 <= self.epsilon) & (self.epsilon <= 1.0)) is not True:
+            _require(ok, "beamsplitter reflectivity must be in [0, 1], got {}", self.epsilon)
 
     def apply(self, a: LinearField, b: LinearField) -> tuple[LinearField, ...]:
         """out1 = sqrt(eps)*a + sqrt(1-eps)*b and out2 = sqrt(1-eps)*a - sqrt(eps)*b.
@@ -234,14 +212,22 @@ class Beamsplitter(_ByValue, Element):
         return out1, out2
 
 
-@dataclass(frozen=True)
-class PhaseShifter(Element):
-    """Multiplies every coefficient by exp(-i*phi)."""
+@dataclass(frozen=True, eq=False)
+class PhaseShifter(_ByValue, Element):
+    """Multiplies every coefficient by exp(-i*phi); ``phi`` may be an array."""
 
     phi: float
 
+    def __post_init__(self) -> None:
+        if (ok := abs(self.phi) < math.inf) is not True:
+            _require(ok, "phi must be finite, got {}", self.phi)
+
     def apply(self, f: LinearField) -> tuple[LinearField, ...]:
-        return (f.scaled(cmath.exp(-1j * self.phi)),)
+        if isinstance(self.phi, (float, int)):
+            return (f.scaled(cmath.exp(-1j * self.phi)),)
+        import numpy as np
+
+        return (f.scaled(np.exp(-1j * self.phi)),)
 
 
 def opa_transfer(
@@ -308,9 +294,8 @@ class LossElement(_ByValue, Element):
     fresh_vacuum_id: str
 
     def __post_init__(self) -> None:
-        ok = (0.0 < self.eta) & (self.eta <= 1.0)
-        if ok is not True and (bad := _failing(ok, self.eta)) is not None:
-            raise ValueError(f"loss transmission must be in (0, 1], got {bad[0]}")
+        if (ok := (0.0 < self.eta) & (self.eta <= 1.0)) is not True:
+            _require(ok, "loss transmission must be in (0, 1], got {}", self.eta)
 
     def injected_ids(self) -> tuple[str, ...]:
         return (self.fresh_vacuum_id,) if _any(self.eta < 1.0) else ()

@@ -32,6 +32,8 @@ from .core import (
     LinearField,
     NoiseVarianceModel,
     Quadrature,
+    _any,
+    _require,
     db_rel_shot,
 )
 from .elements import (
@@ -203,8 +205,8 @@ class MachZehnderParams:
                 raise TypeError(
                     f"{name} must be a Beamsplitter, got {type(getattr(self, name)).__name__}"
                 )
-        if not 0.0 < self.propagation_eta <= 1.0:
-            raise ValueError(f"propagation_eta must be in (0, 1], got {self.propagation_eta}")
+        if (ok := (0.0 < self.propagation_eta) & (self.propagation_eta <= 1.0)) is not True:
+            _require(ok, "propagation_eta must be in (0, 1], got {}", self.propagation_eta)
 
 
 def build_mach_zehnder(
@@ -232,7 +234,7 @@ def build_mach_zehnder(
         edges.append((("bs1", 1), ("phase", 0)))
     edges.append((("phase", 0), ("bs2", 1)))
     detector: Port = ("bs2", 0)
-    if p.propagation_eta < 1.0:
+    if _any(p.propagation_eta < 1.0):
         elements["prop"] = LossElement(p.propagation_eta, PROP_VAC)
         edges.append((detector, ("prop", 0)))
         detector = ("prop", 0)

@@ -1,10 +1,13 @@
 """Self-verification suites: consistency draws, unitarity, uncertainty product.
 
 Each suite returns its maximum observed error against a pinned tolerance.
-The CLI `verify` command runs all of them; the test suite reuses the same
-functions so the shipped binary and CI check the same physics.  A suite
-that raises is reported as a failure naming the exception, and a NaN
-error fails its suite.
+The CLI `verify` command runs all of them, and the test suite reuses them,
+but they check less than the tests do: no suite runs the finite-frequency
+cancellation solve, an interferometer phase, dark noise or a source model
+other than ``paper-fig2``'s, so a fault confined to those (or one that
+leaves every suite's invariant intact) passes `verify` and fails the tests.
+A suite that raises is reported as a failure naming the exception, and a
+NaN error fails its suite.
 
 The random suites draw from their seed in the same order as a loop that
 evaluates one design at one frequency, so a seed names the same designs.
@@ -256,10 +259,13 @@ def _run(name: str, suite: Callable[[], SuiteResult]) -> SuiteResult:
 def run_all(seed: int = 0, draws: int = 10_000) -> list[SuiteResult]:
     """Every suite, in order; one that raises gives a FAIL result naming the error.
 
-    ``draws`` is checked first, so a bad count raises before any suite runs.
+    ``seed`` and ``draws`` are checked first, so a bad one raises before any
+    suite runs.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return [
         _run(CONSISTENCY, lambda: check_consistency(draws=draws, seed=seed)),
         _run(PASSIVE_UNITARITY, lambda: check_passive_unitarity(seed=seed + 1)),

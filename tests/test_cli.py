@@ -12,7 +12,14 @@ import yaml
 import sqznet
 from sqznet import Quadrature, evaluate, homodyne_readout
 from sqznet.cli import main, write_csv
-from sqznet.config import ConfigError, load_preset, parse_config, _paper_base
+from sqznet.config import (
+    MAX_GRID_POINTS,
+    ConfigError,
+    GridSpec,
+    _paper_base,
+    load_preset,
+    parse_config,
+)
 from sqznet.network import SRC, bare_opa_params, build_mach_zehnder
 
 
@@ -198,6 +205,25 @@ class TestSweepCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."])
+    def test_unwritable_out_exits_1(self, tmp_path, out, capsys):
+        argv = ["sweep", "--preset", "paper-fig3", "--out", str(tmp_path / out)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+
+    def test_grid_above_cap_exits_1(self, tmp_path, monkeypatch, capsys):
+        # Rejected when the grid is specified, before any frequency is made.
+        def allocate(grid):
+            raise AssertionError(f"{grid.points} frequencies allocated")
+
+        monkeypatch.setattr(GridSpec, "frequencies", allocate)
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--preset", "paper-fig2", "--out", str(out), "--points", "100000000000"]
+        assert run(argv) == 1
+        assert f"[2, {MAX_GRID_POINTS}]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_verify_passes(self, capsys):
@@ -212,6 +238,12 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert captured.err.startswith("error: ")
+
+    def test_verify_negative_seed_exits_1(self, capsys):
+        assert run(["verify", "--seed", "-1", "--draws", "100"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("error", [KeyError("src"), ValueError("bad entry")])
     def test_raising_suite_prints_fail_and_exits_2(self, monkeypatch, error, capsys):

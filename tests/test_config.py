@@ -5,7 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqznet import HomodyneParams
-from sqznet.config import ConfigError, ScenarioConfig, _paper_base, parse_config
+from sqznet.config import (
+    MAX_GRID_POINTS,
+    ConfigError,
+    GridSpec,
+    ScenarioConfig,
+    _paper_base,
+    parse_config,
+)
 
 NAN = math.nan
 DELETE = object()
@@ -44,6 +51,7 @@ BAD_VALUES = {
         {"frequency_hz": 20e6, "depth": -1.0},
     ),
     "grid.points-fractional": (("grid", "points"), 2.7),
+    "grid.points-above-cap": (("grid", "points"), MAX_GRID_POINTS + 1),
     "outputs.budget-string": (("outputs", "budget"), "no"),
     "outputs.bare_opa-string": (("outputs", "bare_opa"), "no"),
     "detection-zero": (("mach_zehnder", "detection"), 0),
@@ -62,6 +70,11 @@ def test_bad_value_is_config_error(path, value):
     _edit(data, path, value)
     with pytest.raises(ConfigError):
         parse_config(data)
+
+
+def test_grid_cap_is_inclusive():
+    # Construction only: a grid at the cap is valid, and nothing is allocated.
+    assert GridSpec(1.0, 2.0, MAX_GRID_POINTS).points == MAX_GRID_POINTS
 
 
 def test_mean_field_keys_accepted_and_ignored():

@@ -1,22 +1,28 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqznet import (
     VACUUM,
     Beamsplitter,
+    CancellationSolution,
     HomodyneParams,
     LinearField,
     LossElement,
+    MachZehnderParams,
     NetworkDescription,
+    NoiseVarianceModel,
     Opa,
     OpaParams,
     PhaseShifter,
     Quadrature,
+    build_mach_zehnder,
     epsilon1_plus,
+    evaluate,
     homodyne_readout,
     loss_chain,
     opa_from_mirrors,
@@ -24,8 +30,11 @@ from sqznet import (
     source,
     squeezed_vacuum_variance,
     sum_coefficient_power,
+    suppression_db,
     variance,
 )
+from sqznet.config import load_preset
+from sqznet.core import _require
 
 
 class TestParams:
@@ -267,6 +276,11 @@ class TestHomodyne:
 
 OPA = OpaParams(1.0, 1.0, 0.0, 0.0)
 
+
+def mz(phi=0.0, **kw):
+    return MachZehnderParams(Beamsplitter(0.5), Beamsplitter(0.9), OPA, phi, **kw)
+
+
 # Each class and closed form that takes design arrays, called once with one
 # bad entry among good ones; the message names the bad value.
 BAD_ARRAYS = [
@@ -278,6 +292,12 @@ BAD_ARRAYS = [
     (lambda: OpaParams(1.0, 1.0, 0.0, np.array([0.0, -2.5, 1.0])), r"\|g\| = 2.5 .* kappa = 2$"),
     (lambda: epsilon1_plus(np.array([0.5, 1.0]), OPA), "got 1.0"),
     (lambda: squeezed_vacuum_variance(np.array([0.5, -0.1]), OPA), "got -0.1"),
+    (lambda: HomodyneParams(pd_efficiency=np.array([0.9, 1.5])), "pd_efficiency .* got 1.5"),
+    (lambda: HomodyneParams(dark_rel=np.array([0.0, np.inf])), "dark_rel .* got inf"),
+    (lambda: PhaseShifter(np.array([0.1, np.nan, 0.2])), "phi must be finite, got nan"),
+    (lambda: mz(propagation_eta=np.array([0.9, 0.0])), "propagation_eta .* got 0.0"),
+    (lambda: NoiseVarianceModel(base=np.array([1.0, -1.0])), "base .* got -1.0"),
+    (lambda: NoiseVarianceModel(peaks=((np.array([1e6, np.inf]), 1e5, 1.0),)), "center .* inf"),
 ]
 
 # The same checks on plain numbers keep their messages word for word.
@@ -289,6 +309,25 @@ BAD_SCALARS = [
     (lambda: OpaParams(1.0, 1.0, 0.0, -2.5), "|g| = 2.5 must be below threshold kappa = 2"),
     (lambda: epsilon1_plus(1.0, OPA), "epsilon2 must lie strictly inside (0, 1), got 1.0"),
     (lambda: squeezed_vacuum_variance(-0.1, OPA), "epsilon2 must be in [0, 1], got -0.1"),
+    # NaN and +-inf, which each of these calls once let through.
+    (lambda: NoiseVarianceModel(base=math.nan), "variance base must be finite and >= 0, got nan"),
+    (
+        lambda: NoiseVarianceModel(peaks=((math.nan, 1e5, 1.0),)),
+        "peak center must be finite, got nan",
+    ),
+    (
+        lambda: NoiseVarianceModel(peaks=((1e6, math.nan, 1.0),)),
+        "peak half-width must be finite and > 0, got nan",
+    ),
+    (
+        lambda: NoiseVarianceModel(low_freq_excess=(math.nan, 2)),
+        "low-frequency amplitude must be finite and >= 0, got nan",
+    ),
+    (lambda: HomodyneParams(dark_rel=math.nan), "dark_rel must be finite and >= 0, got nan"),
+    (lambda: HomodyneParams(dark_rel=math.inf), "dark_rel must be finite and >= 0, got inf"),
+    (lambda: PhaseShifter(math.nan), "phi must be finite, got nan"),
+    (lambda: OpaParams(math.inf, 1, 1, 0), "kappa_ic must be finite, got inf"),
+    (lambda: CancellationSolution(0.5, 0, math.nan), "residual must be finite and >= 0, got nan"),
 ]
 
 
@@ -296,7 +335,8 @@ class TestArrayParams:
     @pytest.mark.parametrize(
         "make, match",
         BAD_ARRAYS,
-        ids=["bs", "loss", "kappa_ic", "kappa_loss", "kappa", "threshold", "eps1_plus", "sq_vac"],
+        ids=["bs", "loss", "kappa_ic", "kappa_loss", "kappa", "threshold", "eps1_plus", "sq_vac"]
+        + ["pd_eff", "dark", "phase", "prop_eta", "base", "center"],
     )
     def test_one_bad_entry_rejected(self, make, match):
         with pytest.raises(ValueError, match=match):
@@ -305,7 +345,9 @@ class TestArrayParams:
     @pytest.mark.parametrize(
         "make, message",
         BAD_SCALARS,
-        ids=["bs", "loss", "kappa_ic", "kappa", "threshold", "eps1_plus", "sq_vac"],
+        ids=["bs", "loss", "kappa_ic", "kappa", "threshold", "eps1_plus", "sq_vac"]
+        + ["base_nan", "center_nan", "width_nan", "amplitude_nan", "dark_nan", "dark_inf"]
+        + ["phase_nan", "kappa_ic_inf", "residual_nan"],
     )
     def test_scalar_messages(self, make, message):
         with pytest.raises(ValueError) as info:
@@ -335,10 +377,16 @@ class TestArrayParams:
                     "bs": Beamsplitter(eps),
                     "opa": Opa(OpaParams(1.0, 1.0, 0.5, g), "oc", "cav"),
                     "loss": LossElement(eta, "v"),
+                    "phase": PhaseShifter(eps - 0.1),
                 },
-                edges=((("bs", 0), ("opa", 0)), (("opa", 0), ("loss", 0))),
+                edges=(
+                    (("bs", 0), ("opa", 0)),
+                    (("opa", 0), ("loss", 0)),
+                    (("loss", 0), ("phase", 0)),
+                ),
                 inputs={("bs", 0): "a", ("bs", 1): "b"},
-                detector=("loss", 0),
+                detector=("phase", 0),
+                detection=HomodyneParams(eta, eta, g + 1.0),
             )
 
         def identity(n):
@@ -351,8 +399,10 @@ class TestArrayParams:
         b = net(np.array([0.2, 0.7]), np.array([0.5, 0.9]), np.array([-1.0, 0.5]))
         c = net(np.array([0.2, 0.7]), np.array([0.5, 0.9]), np.array([-1.0, 0.6]))
         assert a.elements == b.elements
+        assert a.detection == b.detection
         assert identity(a) == identity(b)
         assert a.elements["opa"] != c.elements["opa"]
+        assert a.detection != c.detection
         assert a.elements["bs"] != Beamsplitter(np.array([0.2, 0.7, 0.1]))
 
     def test_scalar_hash_unchanged(self):
@@ -360,3 +410,124 @@ class TestArrayParams:
         assert hash(Beamsplitter(0.3)) == hash((0.3,))
         assert hash(OPA) == hash((1.0, 1.0, 0.0, 0.0))
         assert Beamsplitter(np.float64(0.3)) == Beamsplitter(0.3)
+        assert hash(PhaseShifter(0.3)) == hash((0.3,))
+        assert hash(HomodyneParams()) == hash((1.0, 1.0, 0.0))
+
+    def test_passing_scalar_checks_make_no_call(self):
+        # Every check guards its call with `ok is not True`, so plain numbers
+        # that pass (here: each checked class, and a cancellation solve and
+        # suppression on the paper design) never enter _require.
+        entered = []
+
+        def watch(frame, event, arg):
+            if event == "call" and frame.f_code is _require.__code__:
+                entered.append(frame.f_back.f_code.co_name)
+
+        p = load_preset("paper-fig2").mach_zehnder
+        omega = 2 * math.pi * 1e6
+        sys.setprofile(watch)
+        try:
+            NoiseVarianceModel(2.0, ((1e6, 1e5, 3.0),), (1e12, 2.0))
+            HomodyneParams(0.9, 0.95, 0.01)
+            PhaseShifter(0.3)
+            opa_from_mirrors(29e6, 3e-4, 0.05, 6.5e-3, -0.3)
+            squeezed_vacuum_variance(0.5, OPA)
+            loss_chain([0.9, 0.8])
+            suppression_db(p, omega, 0.01)
+        finally:
+            sys.setprofile(None)
+        assert entered == []
+        with pytest.raises(ValueError):
+            PhaseShifter(math.nan)  # a failing check does enter it
+
+
+# Property over every public constructor: floats of either sign up to 10 in
+# magnitude (parameters in units of a linewidth), NaN, +-inf, and two-entry
+# arrays of them.  Each field is varied alone, the others held at a good value.
+# Far larger finite values are out of scope here: they can overflow inside
+# the arithmetic itself (a 1/f**exponent term, 4*kappa_ic*kappa_oc), which no
+# parameter check bounds.
+NUMBERS = st.floats(-10.0, 10.0) | st.sampled_from([math.nan, math.inf, -math.inf])
+VALUES = NUMBERS | st.tuples(NUMBERS, NUMBERS).map(np.array)
+W = 1.0  # rad/s, on the scale of the drawn rates
+
+
+def _coefficients(fld):
+    return [c for pair in fld.coeffs.values() for c in pair]
+
+
+def _opa_out(kappa_ic=1.0, kappa_oc=1.0, kappa_loss=0.5, g=-0.5):
+    p = OpaParams(kappa_ic, kappa_oc, kappa_loss, g)
+    return _coefficients(opa_transfer(source("s", W), p, "oc", "cav"))
+
+
+def _mirrors_out(linewidth_hz=1.0, t_ic=3e-4, t_oc=0.05, t_loss=6.5e-3, g_over_kappa=-0.3):
+    p = opa_from_mirrors(linewidth_hz, t_ic, t_oc, t_loss, g_over_kappa)
+    return _coefficients(opa_transfer(source("s", W), p, "oc", "cav"))
+
+
+def _model_out(base=1.0, center=1.0, half_width=1.0, excess=1.0, amplitude=1.0, exponent=2.0):
+    model = NoiseVarianceModel(base, ((center, half_width, excess),), (amplitude, exponent))
+    return [model.evaluate(W)]
+
+
+def _readout(**kw):
+    return [homodyne_readout(source("a", W), Quadrature.PLUS, HomodyneParams(**kw), {"a": VACUUM})]
+
+
+def _mz_out(**kw):
+    return _coefficients(evaluate(build_mach_zehnder(mz(**kw)), W))
+
+
+def _solution(epsilon1=0.5, phi=0.0, residual=0.0):
+    sol = CancellationSolution(epsilon1, phi, residual)
+    return [sol.epsilon1, sol.phi, sol.residual]
+
+
+def _element_out(element, *ins):
+    return _coefficients(element.apply(*(source(sid, W) for sid in ins))[0])
+
+
+def _varied(call, *fields, names=()):
+    """One case per field: ``call`` with that field set to the drawn value."""
+    return [(lambda v, f=f: call(**{f: v}), f, names or (f,)) for f in fields]
+
+
+# (call with one field set to a drawn value, that field, words one of which
+# its error message contains)
+CONSTRUCTORS = [
+    (lambda v: _element_out(Beamsplitter(v), "a", "b"), "epsilon", ("reflectivity",)),
+    (lambda v: _element_out(PhaseShifter(v), "a"), "phi", ("phi",)),
+    (lambda v: _element_out(LossElement(v, "v"), "a"), "eta", ("transmission",)),
+    *_varied(_opa_out, "kappa_ic", "kappa_oc", "kappa_loss"),
+    *_varied(_opa_out, "g", names=("|g|",)),
+    # A linewidth so small that its rates underflow to 0 is reported as the
+    # total decay rate kappa it sets.
+    *_varied(_mirrors_out, "linewidth_hz", names=("linewidth", "total decay rate kappa")),
+    *_varied(_mirrors_out, "t_ic", "t_oc", "t_loss", names=("transmissions",)),
+    *_varied(_mirrors_out, "g_over_kappa", names=("|g|",)),
+    *_varied(_model_out, "base", "center", "excess", "amplitude", "exponent"),
+    *_varied(_model_out, "half_width", names=("half-width",)),
+    *_varied(_readout, "pd_efficiency", "visibility", "dark_rel"),
+    *_varied(_mz_out, "propagation_eta", "phi"),
+    *_varied(_solution, "epsilon1", "phi", "residual"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, field, names", CONSTRUCTORS, ids=[f"{i}-{c[1]}" for i, c in enumerate(CONSTRUCTORS)]
+)
+@settings(max_examples=25)  # plus the explicit examples, for each of the 26 fields
+@given(value=VALUES)
+@example(value=math.nan)
+@example(value=math.inf)
+@example(value=-math.inf)
+@example(value=np.array([0.5, math.nan]))
+@example(value=5e-324)
+def test_constructor_builds_finite_or_names_field(call, field, names, value):
+    try:
+        out = call(value)
+    except (ValueError, TypeError) as exc:
+        assert any(name in str(exc) for name in names), f"{field}: {exc}"
+        return
+    assert all(np.isfinite(x).all() for x in out), f"{field}={value!r} gave {out}"

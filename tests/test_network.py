@@ -97,7 +97,17 @@ class TestEvaluate:
 
 class TestStackedDesigns:
     def test_stack_matches_each_design(self, rng):
+        # One phase, propagation loss and detection serve every design.
+        self.check_stack(rng, stack_all=False)
+
+    def test_stacked_phase_loss_detection_match_each_design(self, rng):
+        self.check_stack(rng, stack_all=True)
+
+    @staticmethod
+    def check_stack(rng, stack_all):
         # One network over 200 stacked designs against 200 scalar networks.
+        # With stack_all the phase, propagation loss and detection are arrays
+        # over the designs too.
         # Each coefficient is compared relative to the largest coefficient of
         # its design and quadrature: a single coefficient can be small by
         # cancellation, and numpy's complex arithmetic is an ulp off CPython's.
@@ -105,17 +115,34 @@ class TestStackedDesigns:
             n = 200
             opas = [draw_opa(rng) for _ in range(n)]
             eps1, eps2 = rng.uniform(0.01, 0.99, n), rng.uniform(0.01, 0.99, n)
-            phi = float(rng.uniform(-math.pi, math.pi))
+            if stack_all:
+                phi, eta = rng.uniform(-math.pi, math.pi, n), rng.uniform(0.5, 0.99, n)
+                det = HomodyneParams(*rng.uniform((0.5, 0.5, 0.0), (1.0, 1.0, 0.1), (n, 3)).T)
+            else:
+                phi, eta, det = float(rng.uniform(-math.pi, math.pi)), 0.9, HomodyneParams()
             omega = float(2 * math.pi * 10 ** rng.uniform(3, 7))
             rates = np.array([(o.kappa_ic, o.kappa_oc, o.kappa_loss, o.g) for o in opas]).T
             stacked = build_mach_zehnder(
-                mz_params(eps1, eps2, phi, OpaParams(*rates), propagation_eta=0.9)
+                mz_params(eps1, eps2, phi, OpaParams(*rates), propagation_eta=eta, detection=det)
             )
             fld = evaluate(stacked, omega)
             v = variance(fld, Quadrature.PLUS, stacked.source_models())
+            readout = homodyne_readout(fld, Quadrature.PLUS, det, stacked.source_models())
             for i in range(n):
+
+                def at(x):
+                    return float(np.broadcast_to(x, (n,))[i])
+
+                det_i = HomodyneParams(at(det.pd_efficiency), at(det.visibility), at(det.dark_rel))
                 net = build_mach_zehnder(
-                    mz_params(float(eps1[i]), float(eps2[i]), phi, opas[i], propagation_eta=0.9)
+                    mz_params(
+                        float(eps1[i]),
+                        float(eps2[i]),
+                        at(phi),
+                        opas[i],
+                        propagation_eta=at(eta),
+                        detection=det_i,
+                    )
                 )
                 ref = evaluate(net, omega)
                 assert set(fld.coeffs) == set(ref.coeffs)
@@ -126,6 +153,8 @@ class TestStackedDesigns:
                         assert abs(got - pair[q.index]) <= 1e-15 * scale
                 v_ref = variance(ref, Quadrature.PLUS, net.source_models())
                 assert abs(v[i] - v_ref) <= 1e-15 * v_ref
+                readout_ref = homodyne_readout(ref, Quadrature.PLUS, det_i, net.source_models())
+                assert abs(readout[i] - readout_ref) <= 1e-15 * readout_ref
 
 
 class TestValidation:
