@@ -41,7 +41,7 @@ from .network import (
     MachZehnderParams,
     NetworkDescription,
     NetworkError,
-    SpectrumPoint,
+    Spectrum,
     build_mach_zehnder,
     evaluate,
     sweep,
@@ -61,7 +61,7 @@ __all__ = [
     "OpaParams",
     "PhaseShifter",
     "Quadrature",
-    "SpectrumPoint",
+    "Spectrum",
     "VACUUM",
     "build_mach_zehnder",
     "db_rel_shot",

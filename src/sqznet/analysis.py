@@ -3,8 +3,9 @@
 The reflectivity condition that removes the bright source from the chosen
 output port, the squeezed-vacuum output variance it produces, its
 closed-form extension to any sideband frequency (checked against the
-composed network), suppression and squeezing-band metrics, the bare-OPA
-comparison spectrum, and loss-budget arithmetic.
+composed network), suppression, the squeezing bands read from a
+:class:`~sqznet.network.Spectrum`'s columns, the bare-OPA comparison
+spectrum (a sweep of the bare network), and loss-budget arithmetic.
 """
 
 from __future__ import annotations
@@ -13,15 +14,16 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 
-from .core import TWO_PI, NoiseVarianceModel, Quadrature, _require
-from .elements import Beamsplitter, OpaParams, homodyne_readout
+from .core import NoiseVarianceModel, Quadrature, _require
+from .elements import Beamsplitter, OpaParams
 from .network import (
     SRC,
     MachZehnderParams,
-    SpectrumPoint,
+    Spectrum,
     bare_opa_params,
     build_mach_zehnder,
     evaluate,
+    sweep,
 )
 
 
@@ -146,34 +148,30 @@ def loss_chain(etas: Sequence[float]) -> float:
     return composite
 
 
-def squeezing_bands(spectrum: Sequence[SpectrumPoint]) -> list[tuple[float, float]]:
+def squeezing_bands(spectrum: Spectrum) -> list[tuple[float, float]]:
     """Maximal frequency intervals where the total variance is sub-shot (< 1).
 
     Band edges interior to the grid are linearly interpolated at the
     shot-noise crossing; edges at the grid boundary are clamped to it.
     """
-    if any(b.frequency_hz <= a.frequency_hz for a, b in zip(spectrum, spectrum[1:])):
+    f, v = spectrum.frequency_hz, spectrum.v_plus
+    if any(b <= a for a, b in zip(f, f[1:])):
         raise ValueError("spectrum must be sorted by increasing frequency")
     bands: list[tuple[float, float]] = []
     start: float | None = None
-    prev: SpectrumPoint | None = None
 
-    def crossing(a: SpectrumPoint, b: SpectrumPoint) -> float:
-        return a.frequency_hz + (1.0 - a.v_plus) * (b.frequency_hz - a.frequency_hz) / (
-            b.v_plus - a.v_plus
-        )
+    def crossing(i: int) -> float:  # between grid points i - 1 and i
+        return f[i - 1] + (1.0 - v[i - 1]) * (f[i] - f[i - 1]) / (v[i] - v[i - 1])
 
-    for point in spectrum:
-        below = point.v_plus < 1.0
+    for i, v_i in enumerate(v):
+        below = v_i < 1.0
         if below and start is None:
-            start = point.frequency_hz if prev is None else crossing(prev, point)
+            start = f[i] if i == 0 else crossing(i)
         elif not below and start is not None:
-            assert prev is not None
-            bands.append((start, crossing(prev, point)))
+            bands.append((start, crossing(i)))
             start = None
-        prev = point
-    if start is not None and prev is not None:
-        bands.append((start, prev.frequency_hz))
+    if start is not None:
+        bands.append((start, f[-1]))
     return bands
 
 
@@ -185,12 +183,7 @@ def bare_source_variance(
     """Detected variance over ``grid_hz`` with both splitters bypassed.
 
     The bare-OPA network has the same noise sources as the interferometer,
-    so ``sources`` may be the interferometer's own models.  One network walk
-    covers the whole grid.
+    so ``sources`` may be the interferometer's own models.  It is swept like
+    any network: one walk covers the whole grid.
     """
-    import numpy as np
-
-    net = build_mach_zehnder(bare_opa_params(p))
-    omega = TWO_PI * np.asarray(grid_hz, dtype=float)
-    v = homodyne_readout(evaluate(net, omega), Quadrature.PLUS, net.detection, sources)
-    return np.broadcast_to(v, omega.shape).tolist()
+    return sweep(build_mach_zehnder(bare_opa_params(p)), grid_hz, sources).v_plus

@@ -10,9 +10,11 @@ import argparse
 import sys
 from collections.abc import Sequence
 from dataclasses import replace
+from itertools import repeat
 
 from .analysis import bare_source_variance
 from .config import ConfigError, PRESETS, ScenarioConfig, load_config, load_preset
+from .core import db_rel_shot
 from .network import DARK, DETECTION, SRC, build_mach_zehnder, sweep
 
 
@@ -27,25 +29,23 @@ def write_csv(cfg: ScenarioConfig, out_path: str) -> None:
         net = build_mach_zehnder(cfg.mach_zehnder)
         models = net.source_models({SRC: cfg.mach_zehnder.src_model})
         grid = cfg.grid.frequencies()
-        points = sweep(net, grid, models)
-        budget_cols: list[str] = []
-        if cfg.include_budget:
-            budget_cols = list(net.source_ids()) + [DETECTION, DARK]
+        spectrum = sweep(net, grid, models)
         header = ["frequency_hz", "v_total", "v_total_db", "shot_ref"]
+        # dB by math.log10 per value: numpy's log10 can differ from it by an ulp.
+        v = spectrum.v_plus
+        columns = [spectrum.frequency_hz, v, map(db_rel_shot, v), repeat(1.0)]
         if cfg.include_bare_opa:
             header.append("v_bare_opa")
-            bare = bare_source_variance(cfg.mach_zehnder, grid, models)
-        header += budget_cols
+            columns.append(bare_source_variance(cfg.mach_zehnder, grid, models))
+        if cfg.include_budget:
+            budget_cols = [*net.source_ids(), DETECTION, DARK]
+            header += budget_cols
+            columns += [spectrum.contributions[c] for c in budget_cols]
         # 12 significant digits: independent rounding of the budget columns must
         # stay well inside the 1e-9 closure guarantee on the formatted values.
         row_fmt = ",".join(["%.11e"] * len(header)) + "\n"
         fh.write(",".join(header) + "\n")
-        for i, pt in enumerate(points):
-            row = [pt.frequency_hz, pt.v_plus, pt.v_plus_db, 1.0]
-            if cfg.include_bare_opa:
-                row.append(bare[i])
-            row += [pt.contributions[c] for c in budget_cols]
-            fh.write(row_fmt % tuple(row))
+        fh.write("".join(map(row_fmt.__mod__, zip(*columns))))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -5,8 +5,8 @@ A :class:`NetworkDescription` lists named elements (the optics of
 input ports, the noise-source label of the fresh input on every open input
 port, and a designated detector port with homodyne parameters.
 :func:`evaluate` walks the graph in topological order and returns the
-sideband field at the detector; :func:`sweep` turns a frequency grid into
-noise spectra with per-source budgets.
+sideband field at the detector; :func:`sweep` turns a frequency grid into a
+:class:`Spectrum`: the detected noise and its per-source budget, as columns.
 
 ``evaluate`` takes one frequency as a float or a whole grid as a numpy
 array, through the same code: with an array every coefficient becomes an
@@ -34,7 +34,6 @@ from .core import (
     Quadrature,
     _any,
     _require,
-    db_rel_shot,
 )
 from .elements import (
     Beamsplitter,
@@ -248,30 +247,31 @@ def build_mach_zehnder(
 
 
 @dataclass(frozen=True)
-class SpectrumPoint:
-    """Detected noise at one sideband frequency.
+class Spectrum:
+    """Detected noise over a sideband-frequency grid, as columns.
 
-    ``contributions`` decomposes the amplitude-quadrature total into
-    per-source parts, including the ``detection`` shot-noise admixture and
-    ``dark`` electronic noise; they sum to ``v_plus``.
+    Every column is a list of Python floats, one per grid frequency.
+    ``contributions`` maps each noise source, plus the ``detection``
+    shot-noise admixture and ``dark`` electronic noise, to its column of the
+    amplitude-quadrature total; at each frequency they sum to ``v_plus``.
     """
 
-    frequency_hz: float
-    v_plus: float
-    v_plus_db: float
-    contributions: Mapping[str, float]
+    frequency_hz: list[float]
+    v_plus: list[float]
+    contributions: Mapping[str, list[float]]
 
 
 def sweep(
     net: NetworkDescription,
     grid_hz: Sequence[float],
     sources: Mapping[str, NoiseVarianceModel],
-) -> list[SpectrumPoint]:
-    """Noise spectra over a frequency grid (Hz), with per-source budgets.
+) -> Spectrum:
+    """Noise spectrum over a frequency grid (Hz), with per-source budgets.
 
     One walk of the network over the whole grid, and one evaluation of each
     source model for the budget; the grid must be nonempty, strictly
-    increasing and positive.
+    increasing and positive.  A total that is not finite raises a
+    ``ValueError`` naming the first such frequency.
     """
     import numpy as np
 
@@ -280,28 +280,27 @@ def sweep(
         raise ValueError("frequency grid is empty")
     if not (grid[0] > 0.0 and (np.diff(grid) > 0.0).all()):
         raise ValueError("frequency grid must be strictly increasing and positive")
+
+    def column(values):
+        return np.broadcast_to(values, grid.shape)
+
     fld = evaluate(net, TWO_PI * grid)
     eta = net.detection.eta_eff
-    columns = {
+    contributions = {
         sid: eta * abs(cp) ** 2 * sources[sid].evaluate(fld.omega)
         for sid, (cp, _) in fld.coeffs.items()
     }
-    columns[DETECTION] = 1.0 - eta
-    columns[DARK] = net.detection.dark_rel
+    contributions[DETECTION] = 1.0 - eta
+    contributions[DARK] = net.detection.dark_rel
     # The total is read out on its own path, never summed from the budget,
     # so that budget closure stays a check.
-    v_plus = homodyne_readout(fld, Quadrature.PLUS, net.detection, sources)
-
-    def per_point(values) -> list[float]:
-        return np.broadcast_to(values, grid.shape).tolist()
-
-    names = list(columns)
-    rows = zip(*map(per_point, columns.values()))
-    # Positional arguments: a keyword call costs half as much again per point.
-    return [
-        SpectrumPoint(f_hz, v, db_rel_shot(v), dict(zip(names, row)))
-        for f_hz, v, row in zip(grid.tolist(), per_point(v_plus), rows)
-    ]
+    v_plus = column(homodyne_readout(fld, Quadrature.PLUS, net.detection, sources))
+    if not (finite := np.isfinite(v_plus)).all():
+        i = finite.argmin()
+        raise ValueError(f"detected variance {v_plus[i]} is not finite at {grid[i].item()!r} Hz")
+    return Spectrum(
+        grid.tolist(), v_plus.tolist(), {s: column(v).tolist() for s, v in contributions.items()}
+    )
 
 
 def bare_opa_params(p: MachZehnderParams) -> MachZehnderParams:

@@ -14,8 +14,9 @@ evaluates one design at one frequency, so a seed names the same designs.
 The consistency suite stacks its designs into array-valued parameters in
 blocks of ``_BLOCK`` draws, and builds and evaluates each block as one
 network; the unitarity suite evaluates each random chain once over an
-array of its frequencies.  Both run the same ``build_mach_zehnder`` and
-``evaluate`` as a single design at a single frequency.
+array of its frequencies, and so does the residual-scaling suite.  All run
+the same ``build_mach_zehnder`` and ``evaluate`` as a single design at a
+single frequency.  Budget closure sums the columns of one ``Spectrum``.
 """
 
 from __future__ import annotations
@@ -219,13 +220,14 @@ def check_uncertainty_product(seed: int = 2) -> SuiteResult:
 
 
 def check_budget_closure() -> SuiteResult:
-    """Per-source contributions sum to the total at every ``paper-fig2`` frequency."""
+    """Per-source budget columns sum to the total at every ``paper-fig2`` frequency."""
     cfg = load_preset("paper-fig2")
     net = build_mach_zehnder(cfg.mach_zehnder)
     models = net.source_models({SRC: cfg.mach_zehnder.src_model})
-    points = sweep(net, cfg.grid.frequencies(), models)
+    spectrum = sweep(net, cfg.grid.frequencies(), models)
+    totals = map(sum, zip(*spectrum.contributions.values()))
     tol = 1e-12
-    worst = _fold(0.0, *(abs(sum(pt.contributions.values()) - pt.v_plus) for pt in points))
+    worst = _fold(0.0, *(abs(s - v) for s, v in zip(totals, spectrum.v_plus)))
     return SuiteResult(BUDGET_CLOSURE, worst <= tol, worst, tol)
 
 
@@ -239,10 +241,7 @@ def check_residual_scaling() -> SuiteResult:
     held = replace(p, epsilon1=Beamsplitter(eps1), phi=0.0, propagation_eta=1.0)
     net = build_mach_zehnder(held)
     omegas = np.logspace(math.log10(1e-4 * opa.kappa), math.log10(1e-2 * opa.kappa), 25)
-    powers = []
-    for omega in omegas:
-        c = evaluate(net, float(omega)).coefficient(SRC, Quadrature.PLUS)
-        powers.append(abs(c) ** 2)
+    powers = abs(evaluate(net, omegas).coefficient(SRC, Quadrature.PLUS)) ** 2
     slope = np.polyfit(np.log(omegas), np.log(powers), 1)[0]
     tol = 0.01
     err = abs(slope - 2.0)

@@ -191,14 +191,16 @@ def test_criterion_8_budget_closure():
     net = build_mach_zehnder(cfg.mach_zehnder)
     models = net.source_models({SRC: cfg.mach_zehnder.src_model})
     t0 = time.perf_counter()
-    points = sweep(net, cfg.grid.frequencies(), models)
+    spectrum = sweep(net, cfg.grid.frequencies(), models)
     elapsed = time.perf_counter() - t0
-    worst = max(abs(math.fsum(pt.contributions.values()) - pt.v_plus) for pt in points)
-    passed = worst < 1e-12 and len(points) == 1000 and elapsed < 1.0
+    rows = zip(*spectrum.contributions.values())
+    worst = max(abs(math.fsum(row) - v) for row, v in zip(rows, spectrum.v_plus, strict=True))
+    points = len(spectrum.v_plus)
+    passed = worst < 1e-12 and points == 1000 and elapsed < 1.0
     report(
         "criterion 8: per-source budget closure",
         passed,
-        f"max |sum - total| = {worst:.2e} over {len(points)} rows (< 1e-12), "
+        f"max |sum - total| = {worst:.2e} over {points} rows (< 1e-12), "
         f"runtime {elapsed:.3f} s (< 1 s)",
     )
 

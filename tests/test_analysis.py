@@ -12,7 +12,7 @@ from sqznet import (
     NoiseVarianceModel,
     OpaParams,
     Quadrature,
-    SpectrumPoint,
+    Spectrum,
     epsilon1_plus,
     evaluate,
     loss_chain,
@@ -226,31 +226,28 @@ class TestLossChain:
             loss_chain([0.0])
 
 
-def _point(f, v):
-    return SpectrumPoint(
-        frequency_hz=f, v_plus=v, v_plus_db=10 * math.log10(v), contributions={}
-    )
+def _spectrum(freqs, values):
+    return Spectrum(frequency_hz=list(freqs), v_plus=list(values), contributions={})
 
 
 class TestSqueezingBands:
     def test_all_sub_shot_single_band(self):
-        pts = [_point(f, 0.5) for f in (1e5, 2e5, 3e5)]
-        assert squeezing_bands(pts) == [(1e5, 3e5)]
+        spectrum = _spectrum([1e5, 2e5, 3e5], [0.5, 0.5, 0.5])
+        assert squeezing_bands(spectrum) == [(1e5, 3e5)]
 
     def test_excess_peak_splits_band(self):
         freqs = [1e5, 2e5, 3e5, 4e5, 5e5]
         values = [0.5, 0.5, 1.5, 0.5, 0.5]
-        bands = squeezing_bands([_point(f, v) for f, v in zip(freqs, values)])
+        bands = squeezing_bands(_spectrum(freqs, values))
         assert len(bands) == 2
         assert bands[0][0] == 1e5 and bands[1][1] == 5e5
 
     def test_linear_interpolation_at_crossing(self):
-        pts = [_point(1e5, 2.0), _point(2e5, 0.5)]
-        [(lo, hi)] = squeezing_bands(pts)
+        [(lo, hi)] = squeezing_bands(_spectrum([1e5, 2e5], [2.0, 0.5]))
         # Crossing of the line from 2.0 to 0.5 through 1.0.
         assert lo == pytest.approx(1e5 + 1e5 * (1.0 - 2.0) / (0.5 - 2.0))
         assert hi == 2e5
 
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
-            squeezing_bands([_point(2e5, 0.5), _point(1e5, 0.5)])
+            squeezing_bands(_spectrum([2e5, 1e5], [0.5, 0.5]))

@@ -1,6 +1,7 @@
 import gzip
 import math
 import os
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -10,7 +11,7 @@ import pytest
 import yaml
 
 import sqznet
-from sqznet import Quadrature, evaluate, homodyne_readout
+from sqznet import Quadrature, evaluate, homodyne_readout, sweep
 from sqznet.cli import main, write_csv
 from sqznet.config import (
     MAX_GRID_POINTS,
@@ -21,6 +22,9 @@ from sqznet.config import (
     parse_config,
 )
 from sqznet.network import SRC, bare_opa_params, build_mach_zehnder
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -37,6 +41,17 @@ def within_one_step(cell: str, ref_cell: str) -> bool:
         return True
     ref = Decimal(ref_cell)
     return abs(Decimal(cell) - ref) <= Decimal(1).scaleb(ref.as_tuple().exponent)
+
+
+def assert_rows_within_one_step(got: list[str], expected: list[str]) -> None:
+    """Same header and row count, and every cell within one step of the reference's."""
+    assert len(got) == len(expected)
+    assert got[0] == expected[0]
+    for i, (row, ref) in enumerate(zip(got, expected)):
+        cells, ref_cells = row.split(","), ref.split(",")
+        assert len(cells) == len(ref_cells), f"row {i}"
+        for cell, ref_cell in zip(cells, ref_cells):
+            assert within_one_step(cell, ref_cell), f"row {i}: {cell} vs {ref_cell}"
 
 
 class TestConfigParsing:
@@ -171,7 +186,7 @@ class TestSweepCommand:
 
     def test_fig2_matches_stored_reference(self, tmp_path):
         # The benchmark's stored paper-fig2 CSV, compared row by row as text.
-        reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "fig2.csv.gz"
+        reference = ROOT / "perfbench" / "reference" / "fig2.csv.gz"
         expected = gzip.decompress(reference.read_bytes()).decode("utf-8").splitlines()
         out = tmp_path / "fig2.csv"
         write_csv(load_preset("paper-fig2"), str(out))
@@ -189,14 +204,60 @@ class TestSweepCommand:
         expected = gzip.decompress(reference.read_bytes()).decode("utf-8").splitlines()
         out = tmp_path / "fig3.csv"
         write_csv(load_preset("paper-fig3"), str(out))
-        got = out.read_text(encoding="utf-8").splitlines()
-        assert len(got) == len(expected)
-        assert got[0] == expected[0]
-        for i, (row, ref) in enumerate(zip(got, expected)):
-            cells, ref_cells = row.split(","), ref.split(",")
-            assert len(cells) == len(ref_cells), f"row {i}"
-            for cell, ref_cell in zip(cells, ref_cells):
-                assert within_one_step(cell, ref_cell), f"row {i}: {cell} vs {ref_cell}"
+        assert_rows_within_one_step(out.read_text(encoding="utf-8").splitlines(), expected)
+
+    def test_dense_grid_matches_stored_reference(self, tmp_path, monkeypatch):
+        # The benchmark's dense-grid scenario through the CLI: a YAML file, a
+        # linear grid of 20 000 points, dark noise and every budget column.
+        # The rows the benchmark stores are compared as text, one step of the
+        # 12th digit allowed as for paper-fig3.
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from workloads import (
+            DENSE_POINTS,
+            DENSE_REFERENCE_SEED,
+            DENSE_REFERENCE_STRIDE,
+            random_scenario,
+            read_reference,
+            reference_rows,
+        )
+
+        scenario = random_scenario(random.Random(DENSE_REFERENCE_SEED), DENSE_POINTS)
+        cfg_path, out = tmp_path / "dense.yaml", tmp_path / "dense.csv"
+        cfg_path.write_text(yaml.safe_dump(scenario), encoding="utf-8")
+        assert run(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        got = reference_rows(out.read_text(encoding="utf-8"), DENSE_REFERENCE_STRIDE)
+        expected = read_reference(f"dense-grid-seed{DENSE_REFERENCE_SEED}.rows.csv.gz")
+        assert_rows_within_one_step(got, expected)
+
+    def test_db_column_is_log_of_swept_total(self, tmp_path):
+        # The printed dB column is 10 log10 of the swept total, and that
+        # total's dB matches the scalar readout's at each frequency.
+        cfg = load_preset("paper-fig3")
+        out = tmp_path / "fig3.csv"
+        write_csv(cfg, str(out))
+        net = build_mach_zehnder(cfg.mach_zehnder)
+        models = net.source_models({SRC: cfg.mach_zehnder.src_model})
+        spectrum = sweep(net, cfg.grid.frequencies(), models)
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        for row, f_hz, v in zip(rows, spectrum.frequency_hz, spectrum.v_plus, strict=True):
+            assert row[2] == "%.11e" % (10.0 * math.log10(v))
+            fld = evaluate(net, 2 * math.pi * f_hz)
+            v_ref = homodyne_readout(fld, Quadrature.PLUS, net.detection, models)
+            db_ref = 10.0 * math.log10(v_ref)
+            assert 10.0 * math.log10(v) == pytest.approx(db_ref, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_non_finite_spectrum_exits_1(self, tmp_path, capsys):
+        # amplitude / f**-100 is inf on the whole grid: an error, not a CSV of inf.
+        data = _paper_base()
+        data["source_noise"]["low_freq_excess"]["exponent"] = -100.0
+        cfg_path, out = tmp_path / "steep.yaml", tmp_path / "steep.csv"
+        cfg_path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        assert run(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+        first_hz = parse_config(data).grid.frequencies()[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f" is not finite at {first_hz!r} Hz\n")
+        assert "inf" not in out.read_text(encoding="utf-8")
 
     def test_unparseable_yaml_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "broken.yaml"

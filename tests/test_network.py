@@ -252,9 +252,10 @@ class TestSweep:
         p = mz_params(0.3, 0.9, 0.1, opa, detection=HomodyneParams(0.9, 0.95, 0.02))
         net = build_mach_zehnder(p)
         models = net.source_models()
-        [pt] = sweep(net, [1e5], models)
-        fld = evaluate(net, 2 * math.pi * pt.frequency_hz)
-        assert pt.v_plus == pytest.approx(
+        spectrum = sweep(net, [1e5], models)
+        [f_hz], [v_plus] = spectrum.frequency_hz, spectrum.v_plus
+        fld = evaluate(net, 2 * math.pi * f_hz)
+        assert v_plus == pytest.approx(
             homodyne_readout(fld, Quadrature.PLUS, p.detection, models), rel=1e-15
         )
         eta = p.detection.eta_eff
@@ -290,11 +291,15 @@ class TestSweep:
             net = build_mach_zehnder(p)
             models = net.source_models({SRC: src_model})
             grid = np.unique(10.0 ** rng.uniform(3.0, 7.5, rng.integers(1, 40)))
-            points = sweep(net, grid.tolist(), models)
-            assert [pt.frequency_hz for pt in points] == grid.tolist()
+            spectrum = sweep(net, grid.tolist(), models)
+            assert spectrum.frequency_hz == grid.tolist()
+            # Every column is a list of plain Python floats, one per grid point.
+            columns = [spectrum.frequency_hz, spectrum.v_plus, *spectrum.contributions.values()]
+            assert {len(col) for col in columns} == {len(grid)}
+            assert {type(x) for col in columns for x in col} == {float}
             eta = detection.eta_eff
-            for pt in points:
-                fld = evaluate(net, 2 * math.pi * pt.frequency_hz)
+            for i, f_hz in enumerate(spectrum.frequency_hz):
+                fld = evaluate(net, 2 * math.pi * f_hz)
                 v = homodyne_readout(fld, Quadrature.PLUS, detection, models)
                 expected = {
                     sid: eta * abs(cp) ** 2 * models[sid].evaluate(fld.omega)
@@ -302,15 +307,13 @@ class TestSweep:
                 }
                 expected[DETECTION] = 1.0 - eta
                 expected[DARK] = detection.dark_rel
-                # Plain Python floats, as the per-point sweep returned.
-                values = (pt.frequency_hz, pt.v_plus, pt.v_plus_db, *pt.contributions.values())
-                assert {type(x) for x in values} == {float}
-                assert abs(pt.v_plus - v) <= 1e-13 * v
-                assert pt.v_plus_db == pytest.approx(10.0 * math.log10(v), rel=1e-13, abs=1e-13)
-                assert pt.contributions.keys() == expected.keys()
+                v_plus = spectrum.v_plus[i]
+                budget = {sid: col[i] for sid, col in spectrum.contributions.items()}
+                assert abs(v_plus - v) <= 1e-13 * v
+                assert budget.keys() == expected.keys()
                 for sid, want in expected.items():
-                    assert abs(pt.contributions[sid] - want) <= 1e-13 * v, sid
-                assert abs(math.fsum(pt.contributions.values()) - pt.v_plus) <= 1e-12 * pt.v_plus
+                    assert abs(budget[sid] - want) <= 1e-13 * v, sid
+                assert abs(math.fsum(budget.values()) - v_plus) <= 1e-12 * v_plus
 
     def test_grid_validation(self, rng):
         net = build_mach_zehnder(mz_params(0.3, 0.9, 0.0, draw_opa(rng)))
@@ -327,20 +330,21 @@ class TestSweep:
         net = build_mach_zehnder(cfg.mach_zehnder)
         models = net.source_models({SRC: cfg.mach_zehnder.src_model})
         grid = np.logspace(np.log10(5e4), np.log10(3e7), 200)
-        points = sweep(net, list(grid), models)
-        assert [pt.frequency_hz for pt in points] == sorted(pt.frequency_hz for pt in points)
-        for pt in points:
-            assert abs(sum(pt.contributions.values()) - pt.v_plus) < 1e-12
+        spectrum = sweep(net, list(grid), models)
+        assert spectrum.frequency_hz == sorted(spectrum.frequency_hz)
+        rows = zip(*spectrum.contributions.values())
+        for row, v_plus in zip(rows, spectrum.v_plus, strict=True):
+            assert abs(sum(row) - v_plus) < 1e-12
 
     def test_passive_network_sweep_is_shot_noise(self, rng):
         opa = draw_opa(rng, passive=True)
         p = mz_params(0.3, 0.9, 0.7, opa, propagation_eta=0.8)
         net = build_mach_zehnder(p)
         models = net.source_models()
-        points = sweep(net, list(np.logspace(4, 7, 50)), models)
-        for pt in points:
-            assert pt.v_plus == pytest.approx(1.0, abs=1e-12)
-            fld = evaluate(net, 2 * math.pi * pt.frequency_hz)
+        spectrum = sweep(net, list(np.logspace(4, 7, 50)), models)
+        for f_hz, v_plus in zip(spectrum.frequency_hz, spectrum.v_plus, strict=True):
+            assert v_plus == pytest.approx(1.0, abs=1e-12)
+            fld = evaluate(net, 2 * math.pi * f_hz)
             v_minus = homodyne_readout(fld, Quadrature.MINUS, p.detection, models)
             assert v_minus == pytest.approx(1.0, abs=1e-12)
 
@@ -349,9 +353,17 @@ class TestSweep:
         net = build_mach_zehnder(cfg.mach_zehnder)
         models = net.source_models({SRC: cfg.mach_zehnder.src_model})
         grid = list(np.logspace(5, 7, 20))
-        a = sweep(net, grid, models)
-        b = sweep(net, grid, models)
-        assert [pt.v_plus for pt in a] == [pt.v_plus for pt in b]
+        assert sweep(net, grid, models) == sweep(net, grid, models)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_non_finite_total_names_first_frequency(self, rng):
+        # amplitude / f**-100: f**-100 underflows to 0 from 10 kHz up, so the
+        # source variance is inf there, and the sweep raises instead of returning it.
+        src_model = NoiseVarianceModel(low_freq_excess=(1.0, -100.0))
+        net = build_mach_zehnder(mz_params(0.3, 0.9, 0.0, draw_opa(rng), src_model=src_model))
+        models = net.source_models({SRC: src_model})
+        with pytest.raises(ValueError, match=r"at 10000\.0 Hz$"):
+            sweep(net, [1e2, 1e3, 1e4, 1e5], models)
 
 
 class TestPassiveUnitarity:

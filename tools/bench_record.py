@@ -10,8 +10,9 @@ each workload and seed the commits run back to back, and the order is
 reversed on every other seed, so that a drift of the machine's speed falls
 on both sides.  Each run's final JSON line is appended to ``BENCH_<pr>.json``
 at the root (created if missing) with the commit, the hash of its ``src``
-tree (which outlives a rewritten commit), the workload, seed, trace flag and
-the number of its pair, so that parent and change runs can be matched.
+tree (which outlives a rewritten commit), the workload, seed, trace flag,
+the number of its pair, so that parent and change runs can be matched, and
+the machine's 1-minute load average when the run started and ended.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import subprocess
 import sys
 import tarfile
@@ -78,6 +80,7 @@ def main() -> None:
             pair += 1
             order = args.commits if pair % 2 == 0 else args.commits[::-1]
             for commit in order:
+                load_start = os.getloadavg()[0]
                 result = run_once(trees[commit], workload, seed, args.trace)
                 record["runs"].append({
                     "commit": shas[commit],
@@ -86,6 +89,7 @@ def main() -> None:
                     "seed": seed,
                     "trace": args.trace,
                     "pair": pair,
+                    "load_average": [load_start, os.getloadavg()[0]],
                     "result": result,
                 })
                 value = {k: round(v["value"], 4) for k, v in result["metrics"].items()}
