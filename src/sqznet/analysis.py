@@ -11,11 +11,11 @@ spectrum (a sweep of the bare network), and loss-budget arithmetic.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
-from .core import NoiseVarianceModel, Quadrature, _require
-from .elements import Beamsplitter, OpaParams
+from .core import Quadrature, _require
+from .elements import OpaParams
 from .network import (
     SRC,
     MachZehnderParams,
@@ -83,7 +83,7 @@ def squeezed_vacuum_variance(epsilon2: float, opa: OpaParams) -> float:
 def _src_coefficient(
     p: MachZehnderParams, eps1: float, phi: float, omega: float, block_reference: bool = False
 ) -> complex:
-    bare = replace(p, epsilon1=Beamsplitter(eps1), phi=phi, propagation_eta=1.0)
+    bare = replace(p, epsilon1=eps1, phi=phi, propagation_eta=1.0)
     fld = evaluate(build_mach_zehnder(bare, block_reference), omega)
     return fld.coefficient(SRC, Quadrature.PLUS)
 
@@ -100,7 +100,7 @@ def solve_cancellation_numeric(
     coefficient of the network built at that point is the residual; raises
     if it exceeds ``tol``.
     """
-    eps1 = _cancelling_eps1(p.epsilon2.epsilon, p.opa, omega)
+    eps1 = _cancelling_eps1(p.epsilon2, p.opa, omega)
     phi = math.atan2(omega, p.opa.kappa - p.opa.g)
     residual = abs(_src_coefficient(p, eps1, phi, omega))
     if residual > tol:
@@ -175,15 +175,11 @@ def squeezing_bands(spectrum: Spectrum) -> list[tuple[float, float]]:
     return bands
 
 
-def bare_source_variance(
-    p: MachZehnderParams,
-    grid_hz: Sequence[float],
-    sources: Mapping[str, NoiseVarianceModel],
-) -> list[float]:
+def bare_source_variance(p: MachZehnderParams, grid_hz: Sequence[float]) -> list[float]:
     """Detected variance over ``grid_hz`` with both splitters bypassed.
 
-    The bare-OPA network has the same noise sources as the interferometer,
-    so ``sources`` may be the interferometer's own models.  It is swept like
-    any network: one walk covers the whole grid.
+    The bare-OPA network is built from ``p`` like the interferometer, with
+    the same noise sources and ``p.src_model`` on the laser, and is swept
+    like any network: one walk covers the whole grid.
     """
-    return sweep(build_mach_zehnder(bare_opa_params(p)), grid_hz, sources).v_plus
+    return sweep(build_mach_zehnder(bare_opa_params(p)), grid_hz).v_plus

@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 from dataclasses import replace
@@ -15,37 +16,49 @@ from itertools import repeat
 from .analysis import bare_source_variance
 from .config import ConfigError, PRESETS, ScenarioConfig, load_config, load_preset
 from .core import db_rel_shot
-from .network import DARK, DETECTION, SRC, build_mach_zehnder, sweep
+from .network import DARK, DETECTION, build_mach_zehnder, sweep
 
 
 def write_csv(cfg: ScenarioConfig, out_path: str) -> None:
     """Sweep the scenario and write one CSV row per grid frequency.
 
     Columns: frequency_hz, v_total, v_total_db, shot_ref, then the optional
-    bare-OPA comparison curve, then per-source budget columns.  The file is
-    opened first, so an unwritable path fails before any point is computed.
+    bare-OPA comparison curve, then per-source budget columns.  The rows go
+    to a new file next to ``out_path``, created first, so an unwritable path
+    fails before any point is computed.  It replaces ``out_path`` once
+    complete and is removed on any failure, which leaves ``out_path`` as it
+    was.
     """
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        net = build_mach_zehnder(cfg.mach_zehnder)
-        models = net.source_models({SRC: cfg.mach_zehnder.src_model})
-        grid = cfg.grid.frequencies()
-        spectrum = sweep(net, grid, models)
-        header = ["frequency_hz", "v_total", "v_total_db", "shot_ref"]
-        # dB by math.log10 per value: numpy's log10 can differ from it by an ulp.
-        v = spectrum.v_plus
-        columns = [spectrum.frequency_hz, v, map(db_rel_shot, v), repeat(1.0)]
-        if cfg.include_bare_opa:
-            header.append("v_bare_opa")
-            columns.append(bare_source_variance(cfg.mach_zehnder, grid, models))
-        if cfg.include_budget:
-            budget_cols = [*net.source_ids(), DETECTION, DARK]
-            header += budget_cols
-            columns += [spectrum.contributions[c] for c in budget_cols]
-        # 12 significant digits: independent rounding of the budget columns must
-        # stay well inside the 1e-9 closure guarantee on the formatted values.
-        row_fmt = ",".join(["%.11e"] * len(header)) + "\n"
-        fh.write(",".join(header) + "\n")
-        fh.write("".join(map(row_fmt.__mod__, zip(*columns))))
+    if os.path.isdir(out_path):
+        raise IsADirectoryError(f"cannot write {out_path!r}: it is a directory")
+    tmp_path = f"{out_path}.{os.urandom(4).hex()}.tmp"
+    # The mode open(..., "w") would give: 0o666 less the umask.
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            net = build_mach_zehnder(cfg.mach_zehnder)
+            grid = cfg.grid.frequencies()
+            spectrum = sweep(net, grid)
+            header = ["frequency_hz", "v_total", "v_total_db", "shot_ref"]
+            # dB by math.log10 per value: numpy's log10 can differ from it by an ulp.
+            v = spectrum.v_plus
+            columns = [spectrum.frequency_hz, v, map(db_rel_shot, v), repeat(1.0)]
+            if cfg.include_bare_opa:
+                header.append("v_bare_opa")
+                columns.append(bare_source_variance(cfg.mach_zehnder, grid))
+            if cfg.include_budget:
+                budget_cols = [*net.source_models, DETECTION, DARK]
+                header += budget_cols
+                columns += [spectrum.contributions[c] for c in budget_cols]
+            # 12 significant digits: independent rounding of the budget columns must
+            # stay well inside the 1e-9 closure guarantee on the formatted values.
+            row_fmt = ",".join(["%.11e"] * len(header)) + "\n"
+            fh.write(",".join(header) + "\n")
+            fh.write("".join(map(row_fmt.__mod__, zip(*columns))))
+        os.replace(tmp_path, out_path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
 
 
 def _build_parser() -> argparse.ArgumentParser:

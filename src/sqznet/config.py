@@ -14,12 +14,12 @@ The OPA gain and the classical-noise spectrum are modeled, not measured.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .analysis import epsilon1_plus
 from .core import NoiseVarianceModel
-from .elements import Beamsplitter, HomodyneParams, OpaParams, opa_from_mirrors
+from .elements import HomodyneParams, OpaParams, opa_from_mirrors
 from .network import MachZehnderParams
 
 
@@ -161,18 +161,10 @@ def parse_config(data: dict) -> ScenarioConfig:
     }
     _require_keys(mz, allowed, "mach_zehnder")
     opa = _parse_opa(_get(mz, "opa", "mach_zehnder"))
-    epsilon2 = _build("epsilon2", Beamsplitter, _number(mz, "epsilon2", "mach_zehnder"))
     mismatch = _number(mz, "epsilon1_mismatch", "mach_zehnder", 0.0)
-    if _get(mz, "epsilon1", "mach_zehnder") == "auto":
-        try:
-            eps1 = epsilon1_plus(epsilon2.epsilon, opa) * (1.0 + mismatch)
-        except (ArithmeticError, ValueError) as exc:
-            raise ConfigError(f"cannot resolve epsilon1: auto: {exc}") from exc
-    else:
-        if mismatch:
-            raise ConfigError("epsilon1_mismatch requires epsilon1: auto")
-        eps1 = _number(mz, "epsilon1", "mach_zehnder")
-    epsilon1 = _build("epsilon1", Beamsplitter, eps1)
+    auto = _get(mz, "epsilon1", "mach_zehnder") == "auto"
+    if mismatch and not auto:
+        raise ConfigError("epsilon1_mismatch requires epsilon1: auto")
 
     det_raw = mz.get("detection")
     if det_raw is None:
@@ -197,14 +189,21 @@ def parse_config(data: dict) -> ScenarioConfig:
     params = _build(
         "mach_zehnder parameters",
         MachZehnderParams,
-        epsilon1=epsilon1,
-        epsilon2=epsilon2,
+        # epsilon1: auto is resolved below, once epsilon2 has passed its check.
+        epsilon1=0.0 if auto else _number(mz, "epsilon1", "mach_zehnder"),
+        epsilon2=_number(mz, "epsilon2", "mach_zehnder"),
         opa=opa,
         phi=_number(mz, "phi", "mach_zehnder", 0.0),
         src_model=src_model,
         detection=detection,
         propagation_eta=_number(mz, "propagation_eta", "mach_zehnder", 1.0),
     )
+    if auto:
+        try:
+            eps1 = epsilon1_plus(params.epsilon2, opa) * (1.0 + mismatch)
+        except (ArithmeticError, ValueError) as exc:
+            raise ConfigError(f"cannot resolve epsilon1: auto: {exc}") from exc
+        params = _build("mach_zehnder parameters", replace, params, epsilon1=eps1)
 
     grid_raw = _get(data, "grid", "<top level>")
     _require_keys(grid_raw, {"min_hz", "max_hz", "points", "spacing"}, "grid")

@@ -101,18 +101,25 @@ class NoiseVarianceModel:
     def evaluate(self, omega):
         """Variance at sideband angular frequency ``omega`` (rad/s).
 
-        ``omega`` may be a float or an array; the result has its shape.
+        ``omega`` may be a float or an array; the result has its shape.  On a
+        float, a term that leaves the float range raises a ``ValueError``
+        naming it and the frequency; on an array it is inf or NaN.
         """
         f = abs(omega) / TWO_PI
         v = self.base
-        for center, half_width, excess in self.peaks:
-            v += excess * half_width**2 / ((f - center) ** 2 + half_width**2)
-        if self.low_freq_excess is not None:
-            amplitude, exponent = self.low_freq_excess
-            if _any(amplitude > 0.0):
-                if _any(f == 0.0):
-                    raise ValueError("low-frequency excess is undefined at zero frequency")
-                v += amplitude / f**exponent
+        term = "Lorentzian peak"
+        try:
+            for center, half_width, excess in self.peaks:
+                v += excess * half_width**2 / ((f - center) ** 2 + half_width**2)
+            if self.low_freq_excess is not None:
+                amplitude, exponent = self.low_freq_excess
+                if _any(amplitude > 0.0):
+                    if _any(f == 0.0):
+                        raise ValueError("low-frequency excess is undefined at zero frequency")
+                    term = "low-frequency excess"
+                    v += amplitude / f**exponent
+        except ArithmeticError as exc:
+            raise ValueError(f"source-model {term} cannot be evaluated at {f} Hz: {exc}") from exc
         return v
 
 

@@ -3,7 +3,8 @@
 A :class:`NetworkDescription` lists named elements (the optics of
 :mod:`sqznet.elements`) with integer ports, edges from output ports to
 input ports, the noise-source label of the fresh input on every open input
-port, and a designated detector port with homodyne parameters.
+port, a designated detector port with homodyne parameters, and the variance
+model of each noise source (vacuum unless given).
 :func:`evaluate` walks the graph in topological order and returns the
 sideband field at the detector; :func:`sweep` turns a frequency grid into a
 :class:`Spectrum`: the detected noise and its per-source budget, as columns.
@@ -17,7 +18,8 @@ frequency never loads it.
 :func:`build_mach_zehnder` wires the canonical topology: a first
 beamsplitter splitting the bright source, an OPA in one arm, a phase
 shifter in the other, a recombining beamsplitter, and propagation loss in
-front of the homodyne detector.
+front of the homodyne detector; it gives the bright source the laser-noise
+model of its :class:`MachZehnderParams`.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ DARK = "dark"
 
 
 class NetworkError(ValueError):
-    """Invalid network description (cycle, dangling port, duplicate source)."""
+    """Invalid network description (cycle, dangling port, duplicate or unknown source)."""
 
 
 Port = tuple[str, int]
@@ -69,19 +71,38 @@ Port = tuple[str, int]
 
 @dataclass(frozen=True)
 class NetworkDescription:
-    """Validated element graph with a designated homodyne detector port."""
+    """Validated element graph with a designated homodyne detector port.
+
+    ``source_models`` gives the variance model of any injected noise source;
+    every other one is vacuum.  Once built it maps every injected source, in
+    injection order, to its model, and a label the network does not inject
+    is a :class:`NetworkError`.
+    """
 
     elements: Mapping[str, Element]
     edges: tuple[tuple[Port, Port], ...]
     inputs: Mapping[Port, str]
     detector: Port
     detection: HomodyneParams = field(default_factory=HomodyneParams)
+    source_models: Mapping[str, NoiseVarianceModel] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", dict(self.elements))
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "inputs", dict(self.inputs))
         self._validate()
+        ids = list(self.inputs.values())
+        for elem in self.elements.values():
+            ids += elem.injected_ids()
+        models = dict.fromkeys(ids, VACUUM)
+        if len(models) < len(ids):
+            dupes = sorted({i for i in ids if ids.count(i) > 1})
+            raise NetworkError(f"noise sources injected more than once: {dupes}")
+        if not models.keys() >= self.source_models.keys():
+            unknown = sorted(self.source_models.keys() - models.keys())
+            raise NetworkError(f"source models for sources not in the network: {unknown}")
+        models.update(self.source_models)
+        object.__setattr__(self, "source_models", models)
         object.__setattr__(self, "_order", self._topological_order())
 
     def _validate(self) -> None:
@@ -120,10 +141,6 @@ class NetworkDescription:
             raise NetworkError(f"element '{det_name}' has no output port {det_port}")
         if self.detector in seen_out:
             raise NetworkError(f"detector port {self.detector} is consumed by an edge")
-        ids = self.source_ids()
-        dupes = {i for i in ids if ids.count(i) > 1}
-        if dupes:
-            raise NetworkError(f"noise sources injected more than once: {sorted(dupes)}")
 
     def _topological_order(self) -> tuple[str, ...]:
         indeg = {name: 0 for name in self.elements}
@@ -144,25 +161,6 @@ class NetworkDescription:
             cyclic = sorted(set(self.elements) - set(order))
             raise NetworkError(f"network contains a cycle through {cyclic}")
         return tuple(order)
-
-    def source_ids(self) -> tuple[str, ...]:
-        """All noise-source labels injected anywhere in the network."""
-        ids = list(self.inputs.values())
-        for elem in self.elements.values():
-            ids += elem.injected_ids()
-        return tuple(ids)
-
-    def source_models(
-        self, overrides: Mapping[str, NoiseVarianceModel] | None = None
-    ) -> dict[str, NoiseVarianceModel]:
-        """Vacuum model for every injected source, with optional overrides."""
-        models = {sid: VACUUM for sid in self.source_ids()}
-        if overrides:
-            unknown = set(overrides) - set(models)
-            if unknown:
-                raise KeyError(f"override for sources not in the network: {sorted(unknown)}")
-            models.update(overrides)
-        return models
 
 
 def evaluate(net: NetworkDescription, omega: float) -> LinearField:
@@ -188,10 +186,15 @@ def evaluate(net: NetworkDescription, omega: float) -> LinearField:
 
 @dataclass(frozen=True)
 class MachZehnderParams:
-    """Parameters of the canonical noise-cancellation interferometer."""
+    """Parameters of the canonical noise-cancellation interferometer.
 
-    epsilon1: Beamsplitter
-    epsilon2: Beamsplitter
+    ``epsilon1`` and ``epsilon2`` are the power reflectivities of the two
+    splitters.  Like ``phi`` and ``propagation_eta`` they may be arrays over
+    designs.
+    """
+
+    epsilon1: float
+    epsilon2: float
     opa: OpaParams
     phi: float
     src_model: NoiseVarianceModel = VACUUM
@@ -199,11 +202,10 @@ class MachZehnderParams:
     propagation_eta: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("epsilon1", "epsilon2"):
-            if not isinstance(getattr(self, name), Beamsplitter):
-                raise TypeError(
-                    f"{name} must be a Beamsplitter, got {type(getattr(self, name)).__name__}"
-                )
+        if (ok := (0.0 <= self.epsilon1) & (self.epsilon1 <= 1.0)) is not True:
+            _require(ok, "epsilon1 must be a reflectivity in [0, 1], got {}", self.epsilon1)
+        if (ok := (0.0 <= self.epsilon2) & (self.epsilon2 <= 1.0)) is not True:
+            _require(ok, "epsilon2 must be a reflectivity in [0, 1], got {}", self.epsilon2)
         if (ok := (0.0 < self.propagation_eta) & (self.propagation_eta <= 1.0)) is not True:
             _require(ok, "propagation_eta must be in (0, 1], got {}", self.propagation_eta)
 
@@ -220,10 +222,10 @@ def build_mach_zehnder(
     blocking that beam on the table.
     """
     elements: dict[str, Element] = {
-        "bs1": p.epsilon1,
+        "bs1": Beamsplitter(p.epsilon1),
         "opa": Opa(p.opa, oc_vacuum_id=OC, loss_vacuum_id=LOSS),
         "phase": PhaseShifter(p.phi),
-        "bs2": p.epsilon2,
+        "bs2": Beamsplitter(p.epsilon2),
     }
     edges: list[tuple[Port, Port]] = [(("bs1", 0), ("opa", 0)), (("opa", 0), ("bs2", 0))]
     inputs: dict[Port, str] = {("bs1", 0): VAC, ("bs1", 1): SRC}
@@ -243,6 +245,7 @@ def build_mach_zehnder(
         inputs=inputs,
         detector=detector,
         detection=p.detection,
+        source_models={SRC: p.src_model},
     )
 
 
@@ -261,17 +264,15 @@ class Spectrum:
     contributions: Mapping[str, list[float]]
 
 
-def sweep(
-    net: NetworkDescription,
-    grid_hz: Sequence[float],
-    sources: Mapping[str, NoiseVarianceModel],
-) -> Spectrum:
+def sweep(net: NetworkDescription, grid_hz: Sequence[float]) -> Spectrum:
     """Noise spectrum over a frequency grid (Hz), with per-source budgets.
 
     One walk of the network over the whole grid, and one evaluation of each
-    source model for the budget; the grid must be nonempty, strictly
-    increasing and positive.  A total that is not finite raises a
-    ``ValueError`` naming the first such frequency.
+    of the network's source models for the budget; the grid must be
+    nonempty, strictly increasing and positive.  A total that is not finite
+    raises a ``ValueError`` naming the first such frequency: numpy's
+    overflow and division warnings are silenced, so that error is the one
+    report.
     """
     import numpy as np
 
@@ -284,17 +285,19 @@ def sweep(
     def column(values):
         return np.broadcast_to(values, grid.shape)
 
-    fld = evaluate(net, TWO_PI * grid)
-    eta = net.detection.eta_eff
-    contributions = {
-        sid: eta * abs(cp) ** 2 * sources[sid].evaluate(fld.omega)
-        for sid, (cp, _) in fld.coeffs.items()
-    }
-    contributions[DETECTION] = 1.0 - eta
-    contributions[DARK] = net.detection.dark_rel
-    # The total is read out on its own path, never summed from the budget,
-    # so that budget closure stays a check.
-    v_plus = column(homodyne_readout(fld, Quadrature.PLUS, net.detection, sources))
+    models = net.source_models
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        fld = evaluate(net, TWO_PI * grid)
+        eta = net.detection.eta_eff
+        contributions = {
+            sid: eta * abs(cp) ** 2 * models[sid].evaluate(fld.omega)
+            for sid, (cp, _) in fld.coeffs.items()
+        }
+        contributions[DETECTION] = 1.0 - eta
+        contributions[DARK] = net.detection.dark_rel
+        # The total is read out on its own path, never summed from the
+        # budget, so that budget closure stays a check.
+        v_plus = column(homodyne_readout(fld, Quadrature.PLUS, net.detection, models))
     if not (finite := np.isfinite(v_plus)).all():
         i = finite.argmin()
         raise ValueError(f"detected variance {v_plus[i]} is not finite at {grid[i].item()!r} Hz")
@@ -305,9 +308,4 @@ def sweep(
 
 def bare_opa_params(p: MachZehnderParams) -> MachZehnderParams:
     """Degenerate topology measuring the OPA output directly (no reference arm)."""
-    return replace(
-        p,
-        epsilon1=Beamsplitter(0.0),
-        epsilon2=Beamsplitter(1.0),
-        phi=0.0,
-    )
+    return replace(p, epsilon1=0.0, epsilon2=1.0, phi=0.0)

@@ -12,7 +12,6 @@ from dataclasses import replace
 import numpy as np
 
 from sqznet import (
-    Beamsplitter,
     MachZehnderParams,
     Quadrature,
     epsilon1_plus,
@@ -64,16 +63,11 @@ def test_criterion_1_equation_triangle_consistency():
         opa = draw_opa(rng)
         eps2 = rng.uniform(0.01, 0.99)
         eps1 = epsilon1_plus(eps2, opa)
-        p = MachZehnderParams(
-            epsilon1=Beamsplitter(eps1),
-            epsilon2=Beamsplitter(eps2),
-            opa=opa,
-            phi=0.0,
-        )
+        p = MachZehnderParams(eps1, eps2, opa, phi=0.0)
         net = build_mach_zehnder(p)
         fld = evaluate(net, 0.0)
         worst_coeff = max(worst_coeff, abs(fld.coefficient(SRC, Quadrature.PLUS)))
-        v = variance(fld, Quadrature.PLUS, net.source_models())
+        v = variance(fld, Quadrature.PLUS, net.source_models)
         v_ref = squeezed_vacuum_variance(eps2, opa)
         worst_var = max(worst_var, abs(v - v_ref) / abs(v_ref))
     elapsed = time.perf_counter() - t0
@@ -111,7 +105,7 @@ def test_criterion_4_passive_unitarity():
     worst = 0.0
     for _ in range(1000):
         net = random_passive_network(rng)
-        models = net.source_models()
+        models = net.source_models
         for _ in range(10):
             omega = 2 * math.pi * rng.uniform(1e3, 3e7)
             fld = evaluate(net, omega)
@@ -154,9 +148,9 @@ def test_criterion_5_uncertainty_product():
 def test_criterion_6_residual_frequency_scaling():
     cfg = load_preset("paper-fig2")
     p = cfg.mach_zehnder
-    eps1 = epsilon1_plus(p.epsilon2.epsilon, p.opa)
+    eps1 = epsilon1_plus(p.epsilon2, p.opa)
     net = build_mach_zehnder(
-        replace(p, epsilon1=Beamsplitter(eps1), phi=0.0, propagation_eta=1.0)
+        replace(p, epsilon1=eps1, phi=0.0, propagation_eta=1.0)
     )
     omegas = np.logspace(math.log10(1e-4 * p.opa.kappa), math.log10(1e-2 * p.opa.kappa), 30)
     powers = [abs(evaluate(net, float(w)).coefficient(SRC, Quadrature.PLUS)) ** 2 for w in omegas]
@@ -189,9 +183,8 @@ def test_criterion_7_25db_suppression_attainable():
 def test_criterion_8_budget_closure():
     cfg = load_preset("paper-fig2")
     net = build_mach_zehnder(cfg.mach_zehnder)
-    models = net.source_models({SRC: cfg.mach_zehnder.src_model})
     t0 = time.perf_counter()
-    spectrum = sweep(net, cfg.grid.frequencies(), models)
+    spectrum = sweep(net, cfg.grid.frequencies())
     elapsed = time.perf_counter() - t0
     rows = zip(*spectrum.contributions.values())
     worst = max(abs(math.fsum(row) - v) for row, v in zip(rows, spectrum.v_plus, strict=True))
@@ -208,9 +201,9 @@ def test_criterion_8_budget_closure():
 def test_criterion_9_squeezing_band_edge_self_consistency():
     cfg = load_preset("paper-fig3")
     net = build_mach_zehnder(cfg.mach_zehnder)
-    models = net.source_models({SRC: cfg.mach_zehnder.src_model})
+    models = net.source_models
     grid = cfg.grid.frequencies()
-    bands = squeezing_bands(sweep(net, grid, models))
+    bands = squeezing_bands(sweep(net, grid))
 
     def total_minus_shot(f_hz):
         fld = evaluate(net, 2 * math.pi * f_hz)

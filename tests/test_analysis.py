@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqznet import (
-    Beamsplitter,
     MachZehnderParams,
     NoiseVarianceModel,
     OpaParams,
@@ -30,13 +29,7 @@ from oracles import mz_output_coefficients
 
 
 def mz_params(eps1, eps2, phi, opa, **kw):
-    return MachZehnderParams(
-        epsilon1=Beamsplitter(eps1),
-        epsilon2=Beamsplitter(eps2),
-        opa=opa,
-        phi=phi,
-        **kw,
-    )
+    return MachZehnderParams(eps1, eps2, opa, phi, **kw)
 
 
 class TestEpsilon1Plus:
@@ -84,7 +77,7 @@ class TestSqueezedVacuumVariance:
             eps2 = rng.uniform(0.01, 0.99)
             eps1 = epsilon1_plus(eps2, opa)
             net = build_mach_zehnder(mz_params(eps1, eps2, 0.0, opa))
-            v = variance(evaluate(net, 0.0), Quadrature.PLUS, net.source_models())
+            v = variance(evaluate(net, 0.0), Quadrature.PLUS, net.source_models)
             assert v == pytest.approx(squeezed_vacuum_variance(eps2, opa), rel=1e-10)
 
     def test_sub_shot_iff_gain_negative(self, rng):
@@ -159,8 +152,8 @@ class TestSolveCancellation:
     def test_residual_grows_quadratically_with_frequency(self):
         cfg = load_preset("paper-fig2")
         p = cfg.mach_zehnder
-        eps1 = epsilon1_plus(p.epsilon2.epsilon, p.opa)
-        net = build_mach_zehnder(replace(p, epsilon1=Beamsplitter(eps1), phi=0.0, propagation_eta=1.0))
+        eps1 = epsilon1_plus(p.epsilon2, p.opa)
+        net = build_mach_zehnder(replace(p, epsilon1=eps1, phi=0.0, propagation_eta=1.0))
         omegas = np.logspace(
             math.log10(1e-4 * p.opa.kappa), math.log10(1e-2 * p.opa.kappa), 20
         )

@@ -21,7 +21,7 @@ from sqznet.config import (
     load_preset,
     parse_config,
 )
-from sqznet.network import SRC, bare_opa_params, build_mach_zehnder
+from sqznet.network import bare_opa_params, build_mach_zehnder
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -161,7 +161,7 @@ class TestSweepCommand:
         column = lines[0].split(",").index("v_bare_opa")
         p = load_preset("paper-fig2").mach_zehnder
         net = build_mach_zehnder(bare_opa_params(p))
-        models = net.source_models({SRC: p.src_model})
+        models = net.source_models
         for line in lines[1:]:
             cells = [float(x) for x in line.split(",")]
             fld = evaluate(net, 2 * math.pi * cells[0])
@@ -236,8 +236,8 @@ class TestSweepCommand:
         out = tmp_path / "fig3.csv"
         write_csv(cfg, str(out))
         net = build_mach_zehnder(cfg.mach_zehnder)
-        models = net.source_models({SRC: cfg.mach_zehnder.src_model})
-        spectrum = sweep(net, cfg.grid.frequencies(), models)
+        models = net.source_models
+        spectrum = sweep(net, cfg.grid.frequencies())
         rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
         for row, f_hz, v in zip(rows, spectrum.frequency_hz, spectrum.v_plus, strict=True):
             assert row[2] == "%.11e" % (10.0 * math.log10(v))
@@ -246,18 +246,32 @@ class TestSweepCommand:
             db_ref = 10.0 * math.log10(v_ref)
             assert 10.0 * math.log10(v) == pytest.approx(db_ref, rel=1e-13, abs=1e-13)
 
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_spectrum_exits_1(self, tmp_path, capsys):
-        # amplitude / f**-100 is inf on the whole grid: an error, not a CSV of inf.
+        # amplitude / f**-100 is inf on the whole grid: an error, not a CSV of
+        # inf, reported on exactly one line, with a previous --out kept as it was.
         data = _paper_base()
         data["source_noise"]["low_freq_excess"]["exponent"] = -100.0
         cfg_path, out = tmp_path / "steep.yaml", tmp_path / "steep.csv"
         cfg_path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        out.write_text("previous contents\n", encoding="utf-8")
         assert run(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
         first_hz = parse_config(data).grid.frequencies()[0]
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith(f" is not finite at {first_hz!r} Hz\n")
-        assert "inf" not in out.read_text(encoding="utf-8")
+        assert err.count("\n") == 1
+        assert out.read_text(encoding="utf-8") == "previous contents\n"
+        assert sorted(os.listdir(tmp_path)) == ["steep.csv", "steep.yaml"]
+
+    def test_written_file_gets_umask_mode(self, tmp_path):
+        out = tmp_path / "fig3.csv"
+        umask = os.umask(0o022)
+        try:
+            assert run(["sweep", "--preset", "paper-fig3", "--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o644
+        assert os.listdir(tmp_path) == ["fig3.csv"]
 
     def test_unparseable_yaml_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "broken.yaml"
@@ -267,7 +281,12 @@ class TestSweepCommand:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("out", ["missing/x.csv", "."])
-    def test_unwritable_out_exits_1(self, tmp_path, out, capsys):
+    def test_unwritable_out_exits_1(self, tmp_path, out, monkeypatch, capsys):
+        # Found before any point is computed.
+        def build(p):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(sqznet.cli, "build_mach_zehnder", build)
         argv = ["sweep", "--preset", "paper-fig3", "--out", str(tmp_path / out)]
         assert run(argv) == 1
         captured = capsys.readouterr()
@@ -299,6 +318,29 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert captured.err.startswith("error: ")
+
+    def test_verify_draws_above_cap_exits_1(self, monkeypatch, capsys):
+        # Rejected before any suite runs.
+        from sqznet import verify
+
+        def entered(**kwargs):
+            raise AssertionError("a suite ran")
+
+        suites = ("consistency", "passive_unitarity", "uncertainty_product")
+        for suite in (*suites, "budget_closure", "residual_scaling"):
+            monkeypatch.setattr(verify, f"check_{suite}", entered)
+        too_many = verify.MAX_DRAWS + 1
+        assert run(["verify", "--draws", str(too_many)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: draws must be <= {verify.MAX_DRAWS}, got {too_many}\n"
+
+    def test_suite_results_are_plain_bool_and_float(self):
+        from sqznet import verify
+
+        for result in verify.run_all(seed=0, draws=100):
+            assert type(result.passed) is bool, result.name
+            assert type(result.max_error) is float, result.name
 
     def test_verify_negative_seed_exits_1(self, capsys):
         assert run(["verify", "--seed", "-1", "--draws", "100"]) == 1

@@ -135,6 +135,22 @@ def test_variance_model_low_frequency_term_rejects_zero(omega):
         model.evaluate(omega)
 
 
+@pytest.mark.parametrize(
+    "model, f_hz, match",
+    [
+        # 1e5**100 overflows; 1e5**-100 underflows to 0, so 1/0.
+        (NoiseVarianceModel(low_freq_excess=(1.0, 100.0)), 1e5, "low-frequency excess"),
+        (NoiseVarianceModel(low_freq_excess=(1.0, -100.0)), 1e5, "low-frequency excess"),
+        # half_width**2 underflows to 0, so 0/0 at the centre.
+        (NoiseVarianceModel(peaks=((1e6, 1e-200, 1.0),)), 1e6, "Lorentzian peak"),
+    ],
+)
+def test_variance_model_out_of_float_range_names_term_and_frequency(model, f_hz, match):
+    message = f"^source-model {match} cannot be evaluated at {f_hz} Hz: "
+    with pytest.raises(ValueError, match=message):
+        model.evaluate(2 * math.pi * f_hz)
+
+
 def test_combine_grid_fields_on_equal_distinct_arrays():
     # Two evaluations over equal grids hold distinct but equal ω arrays.
     a = LinearField(omega=np.array([1.0, 2.0]), coeffs={"a": (1 + 0j, 1 + 0j)})

@@ -277,8 +277,8 @@ class TestHomodyne:
 OPA = OpaParams(1.0, 1.0, 0.0, 0.0)
 
 
-def mz(phi=0.0, **kw):
-    return MachZehnderParams(Beamsplitter(0.5), Beamsplitter(0.9), OPA, phi, **kw)
+def mz(phi=0.0, epsilon1=0.5, epsilon2=0.9, **kw):
+    return MachZehnderParams(epsilon1, epsilon2, OPA, phi, **kw)
 
 
 # Each class and closed form that takes design arrays, called once with one
@@ -296,6 +296,7 @@ BAD_ARRAYS = [
     (lambda: HomodyneParams(dark_rel=np.array([0.0, np.inf])), "dark_rel .* got inf"),
     (lambda: PhaseShifter(np.array([0.1, np.nan, 0.2])), "phi must be finite, got nan"),
     (lambda: mz(propagation_eta=np.array([0.9, 0.0])), "propagation_eta .* got 0.0"),
+    (lambda: mz(epsilon2=np.array([0.9, 1.5])), r"epsilon2 .* \[0, 1\], got 1.5"),
     (lambda: NoiseVarianceModel(base=np.array([1.0, -1.0])), "base .* got -1.0"),
     (lambda: NoiseVarianceModel(peaks=((np.array([1e6, np.inf]), 1e5, 1.0),)), "center .* inf"),
 ]
@@ -336,7 +337,7 @@ class TestArrayParams:
         "make, match",
         BAD_ARRAYS,
         ids=["bs", "loss", "kappa_ic", "kappa_loss", "kappa", "threshold", "eps1_plus", "sq_vac"]
-        + ["pd_eff", "dark", "phase", "prop_eta", "base", "center"],
+        + ["pd_eff", "dark", "phase", "prop_eta", "mz_eps2", "base", "center"],
     )
     def test_one_bad_entry_rejected(self, make, match):
         with pytest.raises(ValueError, match=match):
@@ -511,13 +512,14 @@ CONSTRUCTORS = [
     *_varied(_readout, "pd_efficiency", "visibility", "dark_rel"),
     *_varied(_mz_out, "propagation_eta", "phi"),
     *_varied(_solution, "epsilon1", "phi", "residual"),
+    *_varied(_mz_out, "epsilon1", "epsilon2"),
 ]
 
 
 @pytest.mark.parametrize(
     "call, field, names", CONSTRUCTORS, ids=[f"{i}-{c[1]}" for i, c in enumerate(CONSTRUCTORS)]
 )
-@settings(max_examples=25)  # plus the explicit examples, for each of the 26 fields
+@settings(max_examples=25)  # plus the explicit examples, for each of the 28 fields
 @given(value=VALUES)
 @example(value=math.nan)
 @example(value=math.inf)

@@ -37,13 +37,7 @@ from sqznet.verify import draw_opa, random_passive_network
 
 
 def mz_params(eps1, eps2, phi, opa, **kw):
-    return MachZehnderParams(
-        epsilon1=Beamsplitter(eps1),
-        epsilon2=Beamsplitter(eps2),
-        opa=opa,
-        phi=phi,
-        **kw,
-    )
+    return MachZehnderParams(eps1, eps2, opa, phi, **kw)
 
 
 class TestEvaluate:
@@ -126,8 +120,8 @@ class TestStackedDesigns:
                 mz_params(eps1, eps2, phi, OpaParams(*rates), propagation_eta=eta, detection=det)
             )
             fld = evaluate(stacked, omega)
-            v = variance(fld, Quadrature.PLUS, stacked.source_models())
-            readout = homodyne_readout(fld, Quadrature.PLUS, det, stacked.source_models())
+            v = variance(fld, Quadrature.PLUS, stacked.source_models)
+            readout = homodyne_readout(fld, Quadrature.PLUS, det, stacked.source_models)
             for i in range(n):
 
                 def at(x):
@@ -151,19 +145,42 @@ class TestStackedDesigns:
                     for sid, pair in ref.coeffs.items():
                         got = np.broadcast_to(fld.coefficient(sid, q), (n,))[i]
                         assert abs(got - pair[q.index]) <= 1e-15 * scale
-                v_ref = variance(ref, Quadrature.PLUS, net.source_models())
+                v_ref = variance(ref, Quadrature.PLUS, net.source_models)
                 assert abs(v[i] - v_ref) <= 1e-15 * v_ref
-                readout_ref = homodyne_readout(ref, Quadrature.PLUS, det_i, net.source_models())
+                readout_ref = homodyne_readout(ref, Quadrature.PLUS, det_i, net.source_models)
                 assert abs(readout[i] - readout_ref) <= 1e-15 * readout_ref
 
 
 class TestValidation:
     @pytest.mark.parametrize("field", ["epsilon1", "epsilon2"])
-    def test_mach_zehnder_splitters_must_be_beamsplitters(self, field):
-        # A bare reflectivity used to build, then fail later on attribute access.
-        kw = {"epsilon1": Beamsplitter(0.5), "epsilon2": Beamsplitter(0.99), field: 0.5}
-        with pytest.raises(TypeError, match=f"{field} must be a Beamsplitter, got float"):
-            MachZehnderParams(opa=OpaParams(1.0, 1.0, 0.0, 0.0), phi=0.0, **kw)
+    def test_mach_zehnder_reflectivities_must_be_in_range(self, field):
+        opa = OpaParams(1.0, 1.0, 0.0, 0.0)
+        for bad in (1.5, -0.1, math.nan):
+            kw = {"epsilon1": 0.5, "epsilon2": 0.99, field: bad}
+            with pytest.raises(ValueError, match=rf"^{field} .* \[0, 1\], got {bad}$"):
+                MachZehnderParams(opa=opa, phi=0.0, **kw)
+        for edge in (0.0, 1.0):
+            p = MachZehnderParams(opa=opa, phi=0.0, **{**kw, field: edge})
+            assert getattr(p, field) == edge
+
+    def test_unknown_source_model_label_rejected(self):
+        with pytest.raises(NetworkError, match=r"not in the network: \['lasr'\]"):
+            NetworkDescription(
+                elements={"bs": Beamsplitter(0.5)},
+                edges=(),
+                inputs={("bs", 0): "a", ("bs", 1): "b"},
+                detector=("bs", 0),
+                source_models={"b": VACUUM, "lasr": VACUUM},
+            )
+
+    def test_source_models_complete_in_injection_order(self):
+        laser = NoiseVarianceModel(base=3.0)
+        opa = OpaParams(1.0, 1.0, 0.5, 0.0)
+        p = mz_params(0.5, 0.9, 0.0, opa, propagation_eta=0.9, src_model=laser)
+        net = build_mach_zehnder(p)
+        assert list(net.source_models) == [VAC, SRC, OC, LOSS, "prop-vac"]
+        assert net.source_models[SRC] is laser
+        assert all(net.source_models[s] is VACUUM for s in (VAC, OC, LOSS, "prop-vac"))
 
     def test_cycle_detected(self):
         with pytest.raises(NetworkError, match="cycle"):
@@ -226,7 +243,7 @@ class TestBuildMachZehnder:
         detection = HomodyneParams(pd_efficiency=0.92, visibility=0.975)
         net = build_mach_zehnder(mz_params(0.0, 1.0, 0.0, opa, detection=detection))
         omega = 2 * math.pi * 1e6
-        v = homodyne_readout(evaluate(net, omega), Quadrature.PLUS, detection, net.source_models())
+        v = homodyne_readout(evaluate(net, omega), Quadrature.PLUS, detection, net.source_models)
         # Reference: the OPA output observed directly.
         from sqznet import opa_transfer, source
 
@@ -241,7 +258,7 @@ class TestBuildMachZehnder:
         src_model = NoiseVarianceModel(base=1.0, peaks=((1e6, 1e5, 50.0),))
         net = build_mach_zehnder(mz_params(1.0, 0.0, 0.0, opa, src_model=src_model))
         omega = 2 * math.pi * 1e6
-        models = net.source_models({SRC: src_model})
+        models = net.source_models
         v = variance(evaluate(net, omega), Quadrature.PLUS, models)
         assert v == pytest.approx(src_model.evaluate(omega), rel=1e-12)
 
@@ -251,8 +268,8 @@ class TestSweep:
         opa = draw_opa(rng)
         p = mz_params(0.3, 0.9, 0.1, opa, detection=HomodyneParams(0.9, 0.95, 0.02))
         net = build_mach_zehnder(p)
-        models = net.source_models()
-        spectrum = sweep(net, [1e5], models)
+        models = net.source_models
+        spectrum = sweep(net, [1e5])
         [f_hz], [v_plus] = spectrum.frequency_hz, spectrum.v_plus
         fld = evaluate(net, 2 * math.pi * f_hz)
         assert v_plus == pytest.approx(
@@ -289,9 +306,9 @@ class TestSweep:
                 propagation_eta=u(0.7, 1.0),
             )
             net = build_mach_zehnder(p)
-            models = net.source_models({SRC: src_model})
+            models = net.source_models
             grid = np.unique(10.0 ** rng.uniform(3.0, 7.5, rng.integers(1, 40)))
-            spectrum = sweep(net, grid.tolist(), models)
+            spectrum = sweep(net, grid.tolist())
             assert spectrum.frequency_hz == grid.tolist()
             # Every column is a list of plain Python floats, one per grid point.
             columns = [spectrum.frequency_hz, spectrum.v_plus, *spectrum.contributions.values()]
@@ -317,20 +334,18 @@ class TestSweep:
 
     def test_grid_validation(self, rng):
         net = build_mach_zehnder(mz_params(0.3, 0.9, 0.0, draw_opa(rng)))
-        models = net.source_models()
         with pytest.raises(ValueError, match="empty"):
-            sweep(net, [], models)
+            sweep(net, [])
         with pytest.raises(ValueError, match="increasing"):
-            sweep(net, [2e5, 1e5], models)
+            sweep(net, [2e5, 1e5])
         with pytest.raises(ValueError, match="positive"):
-            sweep(net, [0.0, 1e5], models)
+            sweep(net, [0.0, 1e5])
 
     def test_budget_closure_and_monotone_frequencies(self, rng):
         cfg = load_preset("paper-fig2")
         net = build_mach_zehnder(cfg.mach_zehnder)
-        models = net.source_models({SRC: cfg.mach_zehnder.src_model})
         grid = np.logspace(np.log10(5e4), np.log10(3e7), 200)
-        spectrum = sweep(net, list(grid), models)
+        spectrum = sweep(net, list(grid))
         assert spectrum.frequency_hz == sorted(spectrum.frequency_hz)
         rows = zip(*spectrum.contributions.values())
         for row, v_plus in zip(rows, spectrum.v_plus, strict=True):
@@ -340,8 +355,8 @@ class TestSweep:
         opa = draw_opa(rng, passive=True)
         p = mz_params(0.3, 0.9, 0.7, opa, propagation_eta=0.8)
         net = build_mach_zehnder(p)
-        models = net.source_models()
-        spectrum = sweep(net, list(np.logspace(4, 7, 50)), models)
+        models = net.source_models
+        spectrum = sweep(net, list(np.logspace(4, 7, 50)))
         for f_hz, v_plus in zip(spectrum.frequency_hz, spectrum.v_plus, strict=True):
             assert v_plus == pytest.approx(1.0, abs=1e-12)
             fld = evaluate(net, 2 * math.pi * f_hz)
@@ -351,26 +366,24 @@ class TestSweep:
     def test_deterministic(self, rng):
         cfg = load_preset("paper-fig2")
         net = build_mach_zehnder(cfg.mach_zehnder)
-        models = net.source_models({SRC: cfg.mach_zehnder.src_model})
         grid = list(np.logspace(5, 7, 20))
-        assert sweep(net, grid, models) == sweep(net, grid, models)
+        assert sweep(net, grid) == sweep(net, grid)
 
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_total_names_first_frequency(self, rng):
         # amplitude / f**-100: f**-100 underflows to 0 from 10 kHz up, so the
         # source variance is inf there, and the sweep raises instead of returning it.
         src_model = NoiseVarianceModel(low_freq_excess=(1.0, -100.0))
         net = build_mach_zehnder(mz_params(0.3, 0.9, 0.0, draw_opa(rng), src_model=src_model))
-        models = net.source_models({SRC: src_model})
         with pytest.raises(ValueError, match=r"at 10000\.0 Hz$"):
-            sweep(net, [1e2, 1e3, 1e4, 1e5], models)
+            sweep(net, [1e2, 1e3, 1e4, 1e5])
 
 
 class TestPassiveUnitarity:
     def test_random_passive_chains(self, rng):
         for _ in range(100):
             net = random_passive_network(rng)
-            models = net.source_models()
+            models = net.source_models
             for _ in range(5):
                 omega = 2 * math.pi * rng.uniform(1e3, 3e7)
                 fld = evaluate(net, omega)
