@@ -93,6 +93,9 @@ class OpaParams(_ByValue):
         kappa = self.kappa
         if (ok := kappa > 0.0) is not True:
             _require(ok, "total decay rate kappa must be > 0")
+        # Bounds every rate product the transfer forms: 4*k_ic*k_oc <= kappa**2.
+        if (ok := kappa * kappa < math.inf) is not True:
+            _require(ok, "total decay rate kappa = {:.4g} is too large: its square overflows", kappa)
         if (ok := abs(self.g) < kappa) is not True:
             _require(ok, "|g| = {:.4g} must be below threshold kappa = {:.4g}", abs(self.g), kappa)
 

@@ -11,12 +11,13 @@ NaN error fails its suite.
 
 The random suites draw from their seed in the same order as a loop that
 evaluates one design at one frequency, so a seed names the same designs.
-The consistency suite stacks its designs into array-valued parameters in
-blocks of ``_BLOCK`` draws, and builds and evaluates each block as one
-network; the unitarity suite evaluates each random chain once over an
-array of its frequencies, and so does the residual-scaling suite.  All run
-the same ``build_mach_zehnder`` and ``evaluate`` as a single design at a
-single frequency.  Budget closure sums the columns of one ``Spectrum``.
+The consistency suite draws each block of ``_BLOCK`` designs in one call,
+as array-valued parameters taking the same doubles from the same stream,
+and builds and evaluates each block as one network; the unitarity suite
+evaluates each random chain once over an array of its frequencies, and so
+does the residual-scaling suite.  All run the same ``build_mach_zehnder``
+and ``evaluate`` as a single design at a single frequency.  Budget closure
+sums the columns of one ``Spectrum``.
 """
 
 from __future__ import annotations
@@ -94,11 +95,26 @@ def draw_opa(rng: np.random.Generator, passive: bool = False) -> OpaParams:
     return OpaParams(kappa_ic=rates[0], kappa_oc=rates[1], kappa_loss=rates[2], g=g)
 
 
+def _draw_block(rng: np.random.Generator, m: int) -> tuple[OpaParams, np.ndarray]:
+    """``m`` consistency designs and their epsilon2 values, in one call.
+
+    The same doubles, in the same order, as ``m`` rounds of ``draw_opa(rng)``
+    followed by ``rng.uniform(0.01, 0.99)``: each round takes five uniforms,
+    and ``Generator.uniform`` maps each one to ``low + (high - low) * u``.
+    """
+    u = rng.random((m, 5)).T
+    rates = 1e5 + (1e8 - 1e5) * u[:3]
+    low = -0.95 * (rates[0] + rates[1] + rates[2])
+    g = low + (0.0 - low) * u[3]
+    return OpaParams(*rates, g), 0.01 + (0.99 - 0.01) * u[4]
+
+
 def check_consistency(draws: int = 10_000, seed: int = 0) -> SuiteResult:
     """Zero-frequency triangle: composed network nulls the source coefficient
     at the closed-form reflectivity and lands on the closed-form variance.
 
-    Designs are drawn one at a time, then stacked and evaluated in blocks.
+    Each block of designs is drawn in one call (:func:`_draw_block`), from
+    the same stream as one design at a time, and evaluated as one network.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
@@ -106,12 +122,7 @@ def check_consistency(draws: int = 10_000, seed: int = 0) -> SuiteResult:
     tol_coeff, tol_var = 1e-12, 1e-10
     worst = 0.0
     for start in range(0, draws, _BLOCK):
-        rows = []
-        for _ in range(min(_BLOCK, draws - start)):
-            o = draw_opa(rng)
-            rows.append((o.kappa_ic, o.kappa_oc, o.kappa_loss, o.g, rng.uniform(0.01, 0.99)))
-        *rates, eps2 = np.array(rows).T
-        opa = OpaParams(*rates)
+        opa, eps2 = _draw_block(rng, min(_BLOCK, draws - start))
         params = MachZehnderParams(epsilon1_plus(eps2, opa), eps2, opa, phi=0.0)
         net = build_mach_zehnder(params)
         fld = evaluate(net, 0.0)

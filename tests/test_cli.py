@@ -263,6 +263,21 @@ class TestSweepCommand:
         assert out.read_text(encoding="utf-8") == "previous contents\n"
         assert sorted(os.listdir(tmp_path)) == ["steep.csv", "steep.yaml"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_linewidth_exits_1(self, tmp_path, capsys):
+        # Finite rates whose square overflows are rejected, by name, where the
+        # OPA is built: one error line, and a previous --out kept as it was.
+        data = _paper_base()
+        data["mach_zehnder"]["opa"]["linewidth_hz"] = 1e200
+        cfg_path, out = tmp_path / "wide.yaml", tmp_path / "wide.csv"
+        cfg_path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        out.write_text("previous contents\n", encoding="utf-8")
+        assert run(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid OPA mirror parameters: total decay rate kappa = ")
+        assert err.endswith(" is too large: its square overflows\n") and err.count("\n") == 1
+        assert out.read_text(encoding="utf-8") == "previous contents\n"
+
     def test_written_file_gets_umask_mode(self, tmp_path):
         out = tmp_path / "fig3.csv"
         umask = os.umask(0o022)

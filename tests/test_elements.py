@@ -299,6 +299,12 @@ BAD_ARRAYS = [
     (lambda: mz(epsilon2=np.array([0.9, 1.5])), r"epsilon2 .* \[0, 1\], got 1.5"),
     (lambda: NoiseVarianceModel(base=np.array([1.0, -1.0])), "base .* got -1.0"),
     (lambda: NoiseVarianceModel(peaks=((np.array([1e6, np.inf]), 1e5, 1.0),)), "center .* inf"),
+    # numpy reports the overflow of the bad entry's square as it computes it.
+    pytest.param(
+        lambda: OpaParams(np.array([1e6, 1e200, 1e7]), 1e6, 0.0, 0.0),
+        r"kappa = 1e\+200 is too large",
+        marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
+    ),
 ]
 
 # The same checks on plain numbers keep their messages word for word.
@@ -329,6 +335,15 @@ BAD_SCALARS = [
     (lambda: PhaseShifter(math.nan), "phi must be finite, got nan"),
     (lambda: OpaParams(math.inf, 1, 1, 0), "kappa_ic must be finite, got inf"),
     (lambda: CancellationSolution(0.5, 0, math.nan), "residual must be finite and >= 0, got nan"),
+    # Finite rates whose products would overflow in the cavity transfer.
+    (
+        lambda: OpaParams(1e200, 1e200, 0.0, 0.0),
+        "total decay rate kappa = 2e+200 is too large: its square overflows",
+    ),
+    (
+        lambda: OpaParams(sys.float_info.max, sys.float_info.max, 0.0, 0.0),
+        "total decay rate kappa = inf is too large: its square overflows",
+    ),
 ]
 
 
@@ -337,7 +352,7 @@ class TestArrayParams:
         "make, match",
         BAD_ARRAYS,
         ids=["bs", "loss", "kappa_ic", "kappa_loss", "kappa", "threshold", "eps1_plus", "sq_vac"]
-        + ["pd_eff", "dark", "phase", "prop_eta", "mz_eps2", "base", "center"],
+        + ["pd_eff", "dark", "phase", "prop_eta", "mz_eps2", "base", "center", "kappa_square"],
     )
     def test_one_bad_entry_rejected(self, make, match):
         with pytest.raises(ValueError, match=match):
@@ -348,7 +363,7 @@ class TestArrayParams:
         BAD_SCALARS,
         ids=["bs", "loss", "kappa_ic", "kappa", "threshold", "eps1_plus", "sq_vac"]
         + ["base_nan", "center_nan", "width_nan", "amplitude_nan", "dark_nan", "dark_inf"]
-        + ["phase_nan", "kappa_ic_inf", "residual_nan"],
+        + ["phase_nan", "kappa_ic_inf", "residual_nan", "kappa_square", "kappa_inf"],
     )
     def test_scalar_messages(self, make, message):
         with pytest.raises(ValueError) as info:
@@ -446,8 +461,8 @@ class TestArrayParams:
 # magnitude (parameters in units of a linewidth), NaN, +-inf, and two-entry
 # arrays of them.  Each field is varied alone, the others held at a good value.
 # Far larger finite values are out of scope here: they can overflow inside
-# the arithmetic itself (a 1/f**exponent term, 4*kappa_ic*kappa_oc), which no
-# parameter check bounds.
+# the arithmetic itself (a 1/f**exponent term), which no parameter check
+# bounds.  The OPA's rate products are bounded (see BAD_SCALARS).
 NUMBERS = st.floats(-10.0, 10.0) | st.sampled_from([math.nan, math.inf, -math.inf])
 VALUES = NUMBERS | st.tuples(NUMBERS, NUMBERS).map(np.array)
 W = 1.0  # rad/s, on the scale of the drawn rates

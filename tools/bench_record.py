@@ -13,6 +13,12 @@ at the root (created if missing) with the commit, the hash of its ``src``
 tree (which outlives a rewritten commit), the workload, seed, trace flag,
 the number of its pair, so that parent and change runs can be matched, and
 the machine's 1-minute load average when the run started and ended.
+
+With two commits, the first is the parent and the second the change.  After
+its runs the tool prints, per workload, a summary of every pair in the file
+that compares those two commits: each end-to-end metric's median per
+commit, the change/parent ratio of the medians, the number of pairs the
+change won, and the range of the 1-minute load average over those runs.
 """
 
 from __future__ import annotations
@@ -21,9 +27,11 @@ import argparse
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tarfile
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +69,37 @@ def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(lines[-1])
 
 
+def summary(record: dict, parent: str, change: str, end_to_end: list[dict]) -> list[str]:
+    """Per workload, the end-to-end medians of ``parent`` and ``change`` over
+    every pair of the two in ``record``, their ratio, the change's wins and
+    the load range."""
+    pairs: dict = defaultdict(dict)
+    for run in record["runs"]:
+        pairs[run["pair"]][run["commit"]] = run
+    by_workload: dict = defaultdict(list)
+    for runs in pairs.values():
+        if runs.keys() == {parent, change}:
+            a, b = runs[parent], runs[change]
+            by_workload[(a["workload"], a["trace"])].append((a, b))
+    lines = []
+    for (workload, trace), matched in by_workload.items():
+        loads = [x for pair in matched for run in pair for x in run["load_average"]]
+        lines.append(
+            f"{workload} trace {trace}: {len(matched)} pairs, load {min(loads):.2f}-{max(loads):.2f}"
+        )
+        for metric in end_to_end:
+            name = metric["name"]
+            a, b = ([run["result"]["metrics"][name]["value"] for run in side] for side in zip(*matched))
+            sign = 1 if metric["better"] == "higher" else -1
+            wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+            ma, mb = statistics.median(a), statistics.median(b)
+            lines.append(
+                f"  {name:<16} {ma:10.4g} -> {mb:10.4g} {metric['unit']:<3}"
+                f"  ratio {mb / ma:.3f}  change better in {wins}/{len(matched)}"
+            )
+    return lines
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
@@ -95,6 +134,9 @@ def main() -> None:
                 value = {k: round(v["value"], 4) for k, v in result["metrics"].items()}
                 print(f"{shas[commit][:12]} {workload} seed {seed}: correct={result['correct']} {value}")
                 out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    if len(shas) == 2:
+        benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+        print("\n".join(summary(record, *shas.values(), benchmark["end_to_end"])))
 
 
 if __name__ == "__main__":
