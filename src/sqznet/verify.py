@@ -9,15 +9,21 @@ leaves every suite's invariant intact) passes `verify` and fails the tests.
 A suite that raises is reported as a failure naming the exception, and a
 NaN error fails its suite.
 
-The random suites draw from their seed in the same order as a loop that
-evaluates one design at one frequency, so a seed names the same designs.
-The consistency suite draws each block of ``_BLOCK`` designs in one call,
-as array-valued parameters taking the same doubles from the same stream,
-and builds and evaluates each block as one network; the unitarity suite
-evaluates each random chain once over an array of its frequencies, and so
-does the residual-scaling suite.  All run the same ``build_mach_zehnder``
-and ``evaluate`` as a single design at a single frequency.  Budget closure
-sums the columns of one ``Spectrum``.
+The consistency and uncertainty-product suites draw from their seed in
+the same order as a loop that evaluates one design at one frequency, so a
+seed names the same designs as that loop.  The consistency suite draws
+each block of ``_BLOCK`` designs in one call, as array-valued parameters
+taking the same doubles from the same stream, and builds and evaluates
+each block as one network.  The unitarity suite draws each random chain
+topology once and its parameters as arrays over ``_DESIGNS`` designs, so
+one build and one walk cover every design and frequency of a topology; its
+seed names these stacks, not the chains of a one-design loop.  Every other
+topology has gain.  On every design it checks the output commutator
+``sum_j c_j+ * conj(c_j-) = 1``, which holds with gain and sees the phase
+of each coefficient; on the passive ones also V = 1 and
+``sum_j |c_j|^2 = 1``.  The residual-scaling suite evaluates one network
+over an array of frequencies.  All run the same ``evaluate`` as a single design at a single
+frequency.  Budget closure sums the columns of one ``Spectrum``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 
 from .analysis import epsilon1_plus, squeezed_vacuum_variance
 from .config import load_preset
-from .core import VACUUM, Quadrature, sum_coefficient_power, variance
+from .core import VACUUM, LinearField, Quadrature, sum_coefficient_power, variance
 from .elements import (
     Beamsplitter,
     HomodyneParams,
@@ -47,6 +53,10 @@ from .network import SRC, MachZehnderParams, NetworkDescription, build_mach_zehn
 #: Consistency draws per stacked network: one wide batch would cost more
 #: memory than it saves time.
 _BLOCK = 1000
+
+#: The unitarity suite's random chain topologies, the designs drawn for
+#: each, and the frequencies each design is evaluated at.
+_TOPOLOGIES, _DESIGNS, _FREQUENCIES = 100, 20, 10
 
 #: Most consistency draws one run may ask for: 100 times the default.
 MAX_DRAWS = 1_000_000
@@ -87,10 +97,13 @@ def _fold(worst: float, *errors) -> float:
     return worst
 
 
-def draw_opa(rng: np.random.Generator, passive: bool = False) -> OpaParams:
-    """Random below-threshold cavity, |g| < 0.95 kappa; all three ports strictly open."""
-    rates = rng.uniform(1e5, 1e8, size=3)
-    kappa = rates.sum()
+def draw_opa(rng: np.random.Generator, passive: bool = False, shape: tuple = ()) -> OpaParams:
+    """Random below-threshold cavity, |g| < 0.95 kappa; all three ports strictly open.
+
+    With a ``shape`` every field is an array of it, one cavity per entry.
+    """
+    rates = rng.uniform(1e5, 1e8, size=(3, *shape))
+    kappa = rates.sum(axis=0)
     g = 0.0 if passive else rng.uniform(-0.95 * kappa, 0.0)
     return OpaParams(kappa_ic=rates[0], kappa_oc=rates[1], kappa_loss=rates[2], g=g)
 
@@ -135,8 +148,19 @@ def check_consistency(draws: int = 10_000, seed: int = 0) -> SuiteResult:
     return SuiteResult(CONSISTENCY, worst <= 1.0, worst, 1.0)
 
 
-def random_passive_network(rng: np.random.Generator) -> NetworkDescription:
-    """Random chain of 1 to 8 passive elements with every loss port tracked."""
+def random_chain(
+    rng: np.random.Generator, designs: int | None = None, passive: bool = True
+) -> NetworkDescription:
+    """Random chain of 1 to 8 elements with every loss port tracked.
+
+    The topology (the length, each element's kind and each beamsplitter's
+    output port) is drawn once.  With ``designs=None`` every parameter is a
+    number; with ``designs=M`` each is an array of shape ``(M, 1)``, M
+    designs of that topology, to be evaluated at frequencies of shape
+    ``(M, K)``.  A passive chain's cavities have g = 0; otherwise each has
+    |g| < 0.95 kappa.
+    """
+    size = None if designs is None else (designs, 1)
     elements: dict = {}
     edges: list = []
     inputs: dict = {("e0", 0): "in-0"}
@@ -146,13 +170,13 @@ def random_passive_network(rng: np.random.Generator) -> NetworkDescription:
         name = f"e{i}"
         kind = rng.integers(0, 4)
         if kind == 0:
-            elem = Beamsplitter(float(rng.uniform(0.0, 1.0)))
+            elem = Beamsplitter(rng.uniform(0.0, 1.0, size))
         elif kind == 1:
-            elem = PhaseShifter(float(rng.uniform(-math.pi, math.pi)))
+            elem = PhaseShifter(rng.uniform(-math.pi, math.pi, size))
         elif kind == 2:
-            elem = LossElement(float(rng.uniform(0.1, 1.0)), f"loss-{i}")
+            elem = LossElement(rng.uniform(0.1, 1.0, size), f"loss-{i}")
         else:
-            elem = Opa(draw_opa(rng, passive=True), f"oc-{i}", f"intracav-{i}")
+            elem = Opa(draw_opa(rng, passive, size or ()), f"oc-{i}", f"intracav-{i}")
         elements[name] = elem
         if current is not None:
             edges.append((current, (name, 0)))
@@ -171,25 +195,39 @@ def random_passive_network(rng: np.random.Generator) -> NetworkDescription:
     )
 
 
-def check_passive_unitarity(seed: int = 1) -> SuiteResult:
-    """Shot-noise preservation: any passive lossy-but-tracked chain returns V = 1.
+def commutator(fld: LinearField):
+    """``sum_j c_j+ * conj(c_j-)``: 1 at every frequency when every input is tracked.
 
-    1000 random chains, each evaluated once over an array of 10 random
-    frequencies.
+    The preserved commutator of the output mode's two quadratures; it holds
+    with gain, and it sees the phase of each coefficient.
+    """
+    return sum(cp * cm.conjugate() for cp, cm in fld.coeffs.values())
+
+
+def check_passive_unitarity(seed: int = 1) -> SuiteResult:
+    """Shot-noise preservation and the commutator over random chains.
+
+    ``_TOPOLOGIES`` chain topologies, passive and active in turn, each
+    with ``_DESIGNS`` designs drawn as arrays and evaluated at
+    ``_FREQUENCIES`` random frequencies per design in one walk.  Every
+    design keeps the commutator at 1; the passive ones also return V = 1
+    and ``sum_j |c_j|^2 = 1`` in both quadratures.
     """
     rng = np.random.default_rng(seed)
     tol = 1e-12
     worst = 0.0
-    for _ in range(1000):
-        net = random_passive_network(rng)
-        models = net.source_models
-        fld = evaluate(net, 2.0 * math.pi * rng.uniform(1e3, 3e7, size=10))
-        for q in Quadrature:
-            worst = _fold(
-                worst,
-                abs(variance(fld, q, models) - 1.0),
-                abs(sum_coefficient_power(fld, q) - 1.0),
-            )
+    for t in range(_TOPOLOGIES):
+        passive = t % 2 == 0
+        net = random_chain(rng, _DESIGNS, passive)
+        fld = evaluate(net, 2.0 * math.pi * rng.uniform(1e3, 3e7, size=(_DESIGNS, _FREQUENCIES)))
+        worst = _fold(worst, abs(commutator(fld) - 1.0))
+        if passive:
+            for q in Quadrature:
+                worst = _fold(
+                    worst,
+                    abs(variance(fld, q, net.source_models) - 1.0),
+                    abs(sum_coefficient_power(fld, q) - 1.0),
+                )
     return SuiteResult(PASSIVE_UNITARITY, worst <= tol, worst, tol)
 
 

@@ -28,7 +28,7 @@ from sqznet import (
 )
 from sqznet.config import load_preset
 from sqznet.network import SRC, build_mach_zehnder
-from sqznet.verify import draw_opa, opa_output_variances, random_passive_network
+from sqznet.verify import draw_opa, opa_output_variances, random_chain
 
 
 def report(name, passed, detail):
@@ -104,7 +104,7 @@ def test_criterion_4_passive_unitarity():
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(1000):
-        net = random_passive_network(rng)
+        net = random_chain(rng)
         models = net.source_models
         for _ in range(10):
             omega = 2 * math.pi * rng.uniform(1e3, 3e7)

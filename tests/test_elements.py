@@ -299,11 +299,9 @@ BAD_ARRAYS = [
     (lambda: mz(epsilon2=np.array([0.9, 1.5])), r"epsilon2 .* \[0, 1\], got 1.5"),
     (lambda: NoiseVarianceModel(base=np.array([1.0, -1.0])), "base .* got -1.0"),
     (lambda: NoiseVarianceModel(peaks=((np.array([1e6, np.inf]), 1e5, 1.0),)), "center .* inf"),
-    # numpy reports the overflow of the bad entry's square as it computes it.
-    pytest.param(
+    (
         lambda: OpaParams(np.array([1e6, 1e200, 1e7]), 1e6, 0.0, 0.0),
         r"kappa = 1e\+200 is too large",
-        marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
     ),
 ]
 
@@ -348,6 +346,8 @@ BAD_SCALARS = [
 
 
 class TestArrayParams:
+    # Each bad array raises its ValueError and no numpy warning.
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "make, match",
         BAD_ARRAYS,

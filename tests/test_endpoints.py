@@ -3,7 +3,9 @@
 Each bound is given as two adjacent floats: the last one the check accepts
 and the first one it rejects.  A check that moves its endpoint by a single
 float (``<`` for ``<=``, a bound of 1.001 for 1.0, ``abs(g) <= kappa``)
-accepts the one or rejects the other.
+accepts the one or rejects the other.  A network's port checks are given
+the same way as an element's last port and the one past it, and its
+source checks as the smallest network each one rejects.
 """
 
 import cmath
@@ -17,7 +19,10 @@ from sqznet import (
     CancellationSolution,
     HomodyneParams,
     LossElement,
+    VACUUM,
     MachZehnderParams,
+    NetworkDescription,
+    NetworkError,
     NoiseVarianceModel,
     OpaParams,
     epsilon1_plus,
@@ -154,3 +159,55 @@ def test_largest_allowed_kappa_gives_finite_transfer():
     out = opa_transfer(source("s", 1.0), p, "oc", "cav")
     assert all(cmath.isfinite(c) for pair in out.coeffs.values() for c in pair)
     assert 0.0 < epsilon1_plus(0.5, p) < 1.0
+
+
+def splitters(src=0, dst=0, det=0):
+    """Beamsplitter ``a`` feeding ``b`` from output ``src`` into input ``dst``,
+    detected at output ``det`` of ``b``; every other input is a fresh source."""
+    return NetworkDescription(
+        elements={"a": Beamsplitter(0.5), "b": Beamsplitter(0.5)},
+        edges=((("a", src), ("b", dst)),),
+        inputs={("a", 0): "a0", ("a", 1): "a1", **{("b", k): f"b{k}" for k in (0, 1) if k != dst}},
+        detector=("b", det),
+    )
+
+
+def splitter(port=1, models=None, labels=("x", "y")):
+    """One beamsplitter with sources ``labels`` on inputs 0 and ``port``."""
+    return NetworkDescription(
+        elements={"bs": Beamsplitter(0.5)},
+        edges=(),
+        inputs={("bs", 0): labels[0], ("bs", port): labels[1]},
+        detector=("bs", 0),
+        source_models=models or {},
+    )
+
+
+PORTS = Beamsplitter.ports
+
+# id -> (call with a port index, a phrase of the check's message at index PORTS)
+NETWORK_PORTS = {
+    "edge-source": (lambda i: splitters(src=i), f"'a' has no output port {PORTS}"),
+    "edge-destination": (lambda i: splitters(dst=i), f"'b' has no input port {PORTS}"),
+    "input": (lambda i: splitter(port=i), f"'bs' has no input port {PORTS}"),
+    "detector": (lambda i: splitters(det=i), f"'b' has no output port {PORTS}"),
+}
+
+
+@pytest.mark.parametrize("call, match", NETWORK_PORTS.values(), ids=NETWORK_PORTS.keys())
+def test_last_port_and_the_one_past_it(call, match):
+    call(PORTS - 1)
+    with pytest.raises(NetworkError, match=match):
+        call(PORTS)
+
+
+def test_source_injected_twice():
+    splitter(labels=("x", "y"))
+    with pytest.raises(NetworkError, match=r"injected more than once: \['x'\]$"):
+        splitter(labels=("x", "x"))
+
+
+def test_source_model_for_a_source_not_injected():
+    splitter(models={"x": VACUUM, "y": VACUUM})  # a model for every source
+    with pytest.raises(NetworkError, match=r"not in the network: \['z'\]$"):
+        splitter(models={"x": VACUUM, "y": VACUUM, "z": VACUUM})

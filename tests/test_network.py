@@ -33,7 +33,7 @@ from sqznet.network import (
     PhaseShifter,
     build_mach_zehnder,
 )
-from sqznet.verify import draw_opa, random_passive_network
+from sqznet.verify import draw_opa, random_chain
 
 
 def mz_params(eps1, eps2, phi, opa, **kw):
@@ -382,7 +382,7 @@ class TestSweep:
 class TestPassiveUnitarity:
     def test_random_passive_chains(self, rng):
         for _ in range(100):
-            net = random_passive_network(rng)
+            net = random_chain(rng)
             models = net.source_models
             for _ in range(5):
                 omega = 2 * math.pi * rng.uniform(1e3, 3e7)

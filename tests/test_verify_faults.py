@@ -2,17 +2,22 @@
 
 Hand-rolled mutation testing: every test monkeypatches one fault into the
 element code and asserts that the suites `sqznet verify` runs report FAIL.
-The consistency suite evaluates stacked designs through array-valued
-parameters, so one fault is planted only in the array branch of the
-square root the elements use.
+The consistency and unitarity suites evaluate stacked designs through
+array-valued parameters, so one fault is planted only in the array branch
+of the square root the elements use.  Three faults change the phase of a
+coefficient and no magnitude: only the unitarity suite's commutator
+check sees them.
 """
 
 import math
 
 import numpy as np
+import pytest
 
+import sqznet.core as core
 import sqznet.elements as elements
 from sqznet import verify
+from sqznet.cli import main
 from sqznet.core import LinearField, combine
 
 
@@ -60,8 +65,53 @@ def test_opa_loss_coupling_fault(monkeypatch):
 def test_array_branch_fault(monkeypatch):
     monkeypatch.setattr(elements, "_sqrt", array_sqrt_off)
     assert not verify.check_consistency().passed
-    # The unitarity chains hold plain numbers, so they never reach the fault.
-    assert verify.check_passive_unitarity().passed
+    # The unitarity chains hold arrays over designs, so they reach it too.
+    assert not verify.check_passive_unitarity().passed
+
+
+def combine_phase_difference(ca, a, cb, b):
+    """``combine`` subtracting ``cb*b`` in the phase quadrature, where it should add it."""
+    coeffs = {k: (ca * cp, ca * cm) for k, (cp, cm) in a.coeffs.items()}
+    for k, (cp, cm) in b.coeffs.items():
+        prev = coeffs.get(k, (0j, 0j))
+        coeffs[k] = (prev[0] + cb * cp, prev[1] - cb * cm)
+    return LinearField(a.omega, coeffs)
+
+
+def oc_omega_sign_flipped(original):
+    """``opa_transfer`` with +i*Omega for -i*Omega in the amplitude quadrature's oc numerator."""
+
+    def faulty(seed, p, oc_vacuum_id, loss_vacuum_id):
+        out = original(seed, p, oc_vacuum_id, loss_vacuum_id)
+        omega = seed.omega
+        cp = (2.0 * p.kappa_oc + 1j * omega - p.kappa + p.g) / (1j * omega + p.kappa - p.g)
+        cm = out.coeffs[oc_vacuum_id][1]
+        return LinearField(out.omega, {**out.coeffs, oc_vacuum_id: (cp, cm)})
+
+    return faulty
+
+
+def scaled_conjugating_phase(self, factor):
+    """``LinearField.scaled`` multiplying the phase quadrature by conj(factor)."""
+    coeffs = {k: (factor * cp, factor.conjugate() * cm) for k, (cp, cm) in self.coeffs.items()}
+    return LinearField(self.omega, coeffs)
+
+
+PHASE_FAULTS = {
+    "combine-phase-sum": (elements, "combine", combine_phase_difference),
+    "oc-omega-sign": (elements, "opa_transfer", oc_omega_sign_flipped(elements.opa_transfer)),
+    "scaled-conjugate": (core.LinearField, "scaled", scaled_conjugating_phase),
+}
+
+
+@pytest.mark.parametrize("target, name, fault", PHASE_FAULTS.values(), ids=PHASE_FAULTS.keys())
+def test_phase_fault_fails_the_commutator(monkeypatch, capsys, target, name, fault):
+    monkeypatch.setattr(target, name, fault)
+    assert not verify.check_passive_unitarity().passed
+    assert main(["verify"]) == 2
+    captured = capsys.readouterr()
+    assert "FAIL  passive unitarity: max error" in captured.out
+    assert captured.err == ""
 
 
 def array_sqrt_nan(x):
@@ -84,7 +134,8 @@ def test_nan_frequency_fails_unitarity(monkeypatch):
     original = verify.sum_coefficient_power
 
     def nan_at_one_frequency(fld, q):
-        # A chain without a cavity gives one number for all 10 frequencies.
+        # A chain without a cavity gives one number per design for all 10
+        # frequencies; the mask broadcasts over the designs.
         return np.where(np.arange(10) == 3, math.nan, original(fld, q))
 
     monkeypatch.setattr(verify, "sum_coefficient_power", nan_at_one_frequency)
