@@ -20,7 +20,6 @@ from .network import (
     SRC,
     MachZehnderParams,
     Spectrum,
-    bare_opa_params,
     build_mach_zehnder,
     evaluate,
     sweep,
@@ -80,11 +79,9 @@ def squeezed_vacuum_variance(epsilon2: float, opa: OpaParams) -> float:
     return 1.0 + epsilon2 * 4.0 * opa.kappa_oc * opa.g / (opa.kappa - opa.g) ** 2
 
 
-def _src_coefficient(
-    p: MachZehnderParams, eps1: float, phi: float, omega: float, block_reference: bool = False
-) -> complex:
-    bare = replace(p, epsilon1=eps1, phi=phi, propagation_eta=1.0)
-    fld = evaluate(build_mach_zehnder(bare, block_reference), omega)
+def _src_coefficient(p: MachZehnderParams, omega: float, **design) -> complex:
+    """Source coefficient of ``p`` with the fields ``design`` replaced and no propagation loss."""
+    fld = evaluate(build_mach_zehnder(replace(p, propagation_eta=1.0, **design)), omega)
     return fld.coefficient(SRC, Quadrature.PLUS)
 
 
@@ -102,7 +99,7 @@ def solve_cancellation_numeric(
     """
     eps1 = _cancelling_eps1(p.epsilon2, p.opa, omega)
     phi = math.atan2(omega, p.opa.kappa - p.opa.g)
-    residual = abs(_src_coefficient(p, eps1, phi, omega))
+    residual = abs(_src_coefficient(p, omega, epsilon1=eps1, phi=phi))
     if residual > tol:
         raise ArithmeticError(
             f"cancellation solve left residual {residual:.3e} above {tol:.1e} "
@@ -117,16 +114,27 @@ def suppression_db(p: MachZehnderParams, omega: float, mismatch: float) -> float
     Ratio of source-coefficient power with the reference arm blocked to the
     power with cancellation operated at eps1 = eps1_solved * (1 + mismatch),
     where (eps1_solved, phi_solved) null the source coefficient at
-    ``omega``.  Exact cancellation (mismatch = 0) returns math.inf.
+    ``omega``.  The blocked-arm coefficient is sqrt(eps2) times the source
+    coefficient of the same design at eps2 = 1.  Exact cancellation
+    (mismatch = 0) returns math.inf.  A mismatch that is negative or not
+    finite, or that puts eps1 at or above 1, is rejected.
     """
     if (ok := (0.0 <= mismatch) & (mismatch < math.inf)) is not True:
         _require(ok, "mismatch must be finite and >= 0, got {}", mismatch)
     sol = solve_cancellation_numeric(p, omega)
     if mismatch == 0.0:
         return math.inf
-    eps1 = min(sol.epsilon1 * (1.0 + mismatch), 1.0)
-    c_cancel = _src_coefficient(p, eps1, sol.phi, omega)
-    c_blocked = _src_coefficient(p, eps1, sol.phi, omega, block_reference=True)
+    eps1 = sol.epsilon1 * (1.0 + mismatch)
+    if (ok := eps1 < 1.0) is not True:
+        _require(
+            ok, "mismatch {} takes eps1 from {} to {}, not below 1", mismatch, sol.epsilon1, eps1
+        )
+    c_cancel = _src_coefficient(p, omega, epsilon1=eps1, phi=sol.phi)
+    # Blocking the reference leaves the squeezed arm alone at the detector,
+    # scaled by sqrt(eps2), the real second splitter's amplitude for that arm.
+    c_blocked = math.sqrt(p.epsilon2) * _src_coefficient(
+        p, omega, epsilon1=eps1, phi=sol.phi, epsilon2=1.0
+    )
     p_cancel = abs(c_cancel) ** 2
     p_blocked = abs(c_blocked) ** 2
     if p_cancel == 0.0:
@@ -182,4 +190,5 @@ def bare_source_variance(p: MachZehnderParams, grid_hz: Sequence[float]) -> list
     the same noise sources and ``p.src_model`` on the laser, and is swept
     like any network: one walk covers the whole grid.
     """
-    return sweep(build_mach_zehnder(bare_opa_params(p)), grid_hz).v_plus
+    bare = replace(p, epsilon1=0.0, epsilon2=1.0, phi=0.0)
+    return sweep(build_mach_zehnder(bare), grid_hz).v_plus

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .core import (
     TWO_PI,
@@ -55,7 +55,6 @@ VAC = "vac"
 OC = "oc"
 LOSS = "loss"
 PROP_VAC = "prop-vac"
-REF_BLOCK_VAC = "ref-block-vac"
 
 # Pseudo-sources reported in detection budgets.
 DETECTION = "detection"
@@ -210,16 +209,13 @@ class MachZehnderParams:
             _require(ok, "propagation_eta must be in (0, 1], got {}", self.propagation_eta)
 
 
-def build_mach_zehnder(
-    p: MachZehnderParams, block_reference: bool = False
-) -> NetworkDescription:
+def build_mach_zehnder(p: MachZehnderParams) -> NetworkDescription:
     """Wire the single-OPA noise-cancellation interferometer.
 
     Port 0 of ``bs1`` carries the squeezed-arm field (vacuum-side input on
     port 0, bright source on port 1); the reference arm passes a phase
-    shifter before recombining on ``bs2``.  With ``block_reference`` the
-    reference input of ``bs2`` is replaced by fresh vacuum, the analog of
-    blocking that beam on the table.
+    shifter before recombining on ``bs2``.  Propagation loss is wired in
+    only where ``p.propagation_eta`` < 1.
     """
     elements: dict[str, Element] = {
         "bs1": Beamsplitter(p.epsilon1),
@@ -227,13 +223,13 @@ def build_mach_zehnder(
         "phase": PhaseShifter(p.phi),
         "bs2": Beamsplitter(p.epsilon2),
     }
-    edges: list[tuple[Port, Port]] = [(("bs1", 0), ("opa", 0)), (("opa", 0), ("bs2", 0))]
+    edges: list[tuple[Port, Port]] = [
+        (("bs1", 0), ("opa", 0)),
+        (("opa", 0), ("bs2", 0)),
+        (("bs1", 1), ("phase", 0)),
+        (("phase", 0), ("bs2", 1)),
+    ]
     inputs: dict[Port, str] = {("bs1", 0): VAC, ("bs1", 1): SRC}
-    if block_reference:
-        inputs[("phase", 0)] = REF_BLOCK_VAC
-    else:
-        edges.append((("bs1", 1), ("phase", 0)))
-    edges.append((("phase", 0), ("bs2", 1)))
     detector: Port = ("bs2", 0)
     if _any(p.propagation_eta < 1.0):
         elements["prop"] = LossElement(p.propagation_eta, PROP_VAC)
@@ -305,7 +301,3 @@ def sweep(net: NetworkDescription, grid_hz: Sequence[float]) -> Spectrum:
         grid.tolist(), v_plus.tolist(), {s: column(v).tolist() for s, v in contributions.items()}
     )
 
-
-def bare_opa_params(p: MachZehnderParams) -> MachZehnderParams:
-    """Degenerate topology measuring the OPA output directly (no reference arm)."""
-    return replace(p, epsilon1=0.0, epsilon2=1.0, phi=0.0)

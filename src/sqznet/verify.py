@@ -9,21 +9,20 @@ leaves every suite's invariant intact) passes `verify` and fails the tests.
 A suite that raises is reported as a failure naming the exception, and a
 NaN error fails its suite.
 
-The consistency and uncertainty-product suites draw from their seed in
-the same order as a loop that evaluates one design at one frequency, so a
-seed names the same designs as that loop.  The consistency suite draws
-each block of ``_BLOCK`` designs in one call, as array-valued parameters
-taking the same doubles from the same stream, and builds and evaluates
-each block as one network.  The unitarity suite draws each random chain
-topology once and its parameters as arrays over ``_DESIGNS`` designs, so
-one build and one walk cover every design and frequency of a topology; its
-seed names these stacks, not the chains of a one-design loop.  Every other
-topology has gain.  On every design it checks the output commutator
-``sum_j c_j+ * conj(c_j-) = 1``, which holds with gain and sees the phase
-of each coefficient; on the passive ones also V = 1 and
-``sum_j |c_j|^2 = 1``.  The residual-scaling suite evaluates one network
-over an array of frequencies.  All run the same ``evaluate`` as a single design at a single
-frequency.  Budget closure sums the columns of one ``Spectrum``.
+Only the uncertainty-product suite still evaluates one design at one
+frequency at a time.  The consistency suite draws each block of ``_BLOCK``
+designs as arrays, with :func:`draw_opa` like every random cavity here,
+and builds and evaluates each block as one network.  The unitarity suite
+draws each random chain topology once and its parameters as arrays over
+``_DESIGNS`` designs, so one build and one walk cover every design and
+frequency of a topology.  Every other topology has gain.  On every design
+it checks the output commutator ``sum_j c_j+ * conj(c_j-) = 1``, which
+holds with gain and sees the phase of each coefficient; on the passive
+ones also V = 1 and ``sum_j |c_j|^2 = 1``.  The seeds of these two suites
+name their blocks, not the designs of a one-design loop.  The
+residual-scaling suite evaluates one network over an array of frequencies.
+All run the same ``evaluate`` as a single design at a single frequency.
+Budget closure sums the columns of one ``Spectrum``.
 """
 
 from __future__ import annotations
@@ -108,26 +107,13 @@ def draw_opa(rng: np.random.Generator, passive: bool = False, shape: tuple = ())
     return OpaParams(kappa_ic=rates[0], kappa_oc=rates[1], kappa_loss=rates[2], g=g)
 
 
-def _draw_block(rng: np.random.Generator, m: int) -> tuple[OpaParams, np.ndarray]:
-    """``m`` consistency designs and their epsilon2 values, in one call.
-
-    The same doubles, in the same order, as ``m`` rounds of ``draw_opa(rng)``
-    followed by ``rng.uniform(0.01, 0.99)``: each round takes five uniforms,
-    and ``Generator.uniform`` maps each one to ``low + (high - low) * u``.
-    """
-    u = rng.random((m, 5)).T
-    rates = 1e5 + (1e8 - 1e5) * u[:3]
-    low = -0.95 * (rates[0] + rates[1] + rates[2])
-    g = low + (0.0 - low) * u[3]
-    return OpaParams(*rates, g), 0.01 + (0.99 - 0.01) * u[4]
-
-
 def check_consistency(draws: int = 10_000, seed: int = 0) -> SuiteResult:
     """Zero-frequency triangle: composed network nulls the source coefficient
     at the closed-form reflectivity and lands on the closed-form variance.
 
-    Each block of designs is drawn in one call (:func:`_draw_block`), from
-    the same stream as one design at a time, and evaluated as one network.
+    Each block of ``_BLOCK`` designs is drawn as arrays, its cavities by
+    :func:`draw_opa` and then its epsilon2 values, and evaluated as one
+    network.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
@@ -135,7 +121,8 @@ def check_consistency(draws: int = 10_000, seed: int = 0) -> SuiteResult:
     tol_coeff, tol_var = 1e-12, 1e-10
     worst = 0.0
     for start in range(0, draws, _BLOCK):
-        opa, eps2 = _draw_block(rng, min(_BLOCK, draws - start))
+        m = min(_BLOCK, draws - start)
+        opa, eps2 = draw_opa(rng, shape=(m,)), rng.uniform(0.01, 0.99, m)
         params = MachZehnderParams(epsilon1_plus(eps2, opa), eps2, opa, phi=0.0)
         net = build_mach_zehnder(params)
         fld = evaluate(net, 0.0)

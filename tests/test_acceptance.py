@@ -28,7 +28,7 @@ from sqznet import (
 )
 from sqznet.config import load_preset
 from sqznet.network import SRC, build_mach_zehnder
-from sqznet.verify import draw_opa, opa_output_variances, random_chain
+from sqznet.verify import check_uncertainty_product, draw_opa, random_chain
 
 
 def report(name, passed, detail):
@@ -121,27 +121,12 @@ def test_criterion_4_passive_unitarity():
 
 
 def test_criterion_5_uncertainty_product():
-    rng = np.random.default_rng(5)
-    worst_floor, worst_closed = 0.0, 0.0
-    for _ in range(1000):
-        opa = draw_opa(rng)
-        omega = 2 * math.pi * rng.uniform(1e3, 5e7)
-        vp, vm = opa_output_variances(opa, omega)
-        worst_floor = max(worst_floor, 1.0 - vp * vm)
-        kappa = rng.uniform(1e6, 3e8)
-        g = rng.uniform(-0.95 * kappa, -1e-3 * kappa)
-        lossless = replace(opa, kappa_ic=0.0, kappa_oc=kappa, kappa_loss=0.0, g=g)
-        vp, vm = opa_output_variances(lossless, omega)
-        ref_p = (omega**2 + (kappa + g) ** 2) / (omega**2 + (kappa - g) ** 2)
-        ref_m = (omega**2 + (kappa - g) ** 2) / (omega**2 + (kappa + g) ** 2)
-        worst_closed = max(
-            worst_closed, abs(vp - ref_p), abs(vm - ref_m), abs(vp * vm - 1.0)
-        )
-    passed = worst_floor <= 1e-12 and worst_closed <= 1e-12
+    result = check_uncertainty_product(seed=5)
     report(
         "criterion 5: uncertainty product",
-        passed,
-        f"max (1 - V+V-) = {worst_floor:.2e}, max closed-form err = {worst_closed:.2e} (<= 1e-12)",
+        result.passed,
+        f"max of 1 - V+V- and the lossless closed-form errors = {result.max_error:.2e} "
+        f"over 1000 cavities (<= {result.tolerance:.0e})",
     )
 
 

@@ -25,7 +25,7 @@ from sqznet.config import load_preset
 from sqznet.network import SRC, build_mach_zehnder
 from sqznet.verify import draw_opa
 
-from oracles import mz_output_coefficients
+from oracles import mz_output_coefficients, suppression_db_closed_form
 
 
 def mz_params(eps1, eps2, phi, opa, **kw):
@@ -196,6 +196,23 @@ class TestSuppression:
         p = mz_params(0.5, 0.9, 0.0, draw_opa(rng))
         with pytest.raises(ValueError):
             suppression_db(p, 0.0, -0.1)
+
+    def test_matches_closed_form_over_random_designs(self, rng):
+        # Bound fixed before any draw, as in the benchmark's cancellation check.
+        rel = 1e-9
+        for _ in range(200):
+            opa, eps2 = draw_opa(rng), rng.uniform(0.1, 0.9)
+            omega = 2 * math.pi * 10 ** rng.uniform(3.0, math.log10(3e7))
+            mismatch = rng.uniform(1e-3, 2e-2)
+            got = suppression_db(mz_params(0.5, eps2, 0.0, opa), omega, mismatch)
+            expected = suppression_db_closed_form(eps2, opa, omega, mismatch)
+            assert abs(got - expected) <= rel * max(1.0, abs(expected))
+
+    def test_mismatch_taking_eps1_to_one_rejected(self):
+        # paper-fig2 solves eps1 = 0.520 at 1.5 MHz; (1 + 0.95) takes it past 1.
+        p = load_preset("paper-fig2").mach_zehnder
+        with pytest.raises(ValueError, match=r"mismatch 0\.95 takes eps1 from 0\.5\d* to 1\.01"):
+            suppression_db(p, 2 * math.pi * 1.5e6, 0.95)
 
 
 class TestLossChain:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from sqznet.config import (
     load_preset,
     parse_config,
 )
-from sqznet.network import bare_opa_params, build_mach_zehnder
+from sqznet.network import build_mach_zehnder
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -160,7 +161,8 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()
         column = lines[0].split(",").index("v_bare_opa")
         p = load_preset("paper-fig2").mach_zehnder
-        net = build_mach_zehnder(bare_opa_params(p))
+        # Both splitters bypassed: the OPA output reaches the detector alone.
+        net = build_mach_zehnder(replace(p, epsilon1=0.0, epsilon2=1.0, phi=0.0))
         models = net.source_models
         for line in lines[1:]:
             cells = [float(x) for x in line.split(",")]

@@ -25,10 +25,12 @@ from sqznet import (
     NetworkError,
     NoiseVarianceModel,
     OpaParams,
+    db_rel_shot,
     epsilon1_plus,
     loss_chain,
     opa_from_mirrors,
     opa_transfer,
+    solve_cancellation_numeric,
     squeezed_vacuum_variance,
     source,
     suppression_db,
@@ -74,8 +76,23 @@ def largest_finite_square():
     return x
 
 
+def last_mismatch_below_one(p, omega):
+    """The largest mismatch that keeps ``suppression_db``'s eps1 * (1 + mismatch) below 1."""
+    eps1 = solve_cancellation_numeric(p, omega).epsilon1
+    m = 1.0 / eps1 - 1.0
+    while eps1 * (1.0 + m) >= 1.0:
+        m = math.nextafter(m, 0.0)
+    while eps1 * (1.0 + (up := math.nextafter(m, math.inf))) < 1.0:
+        m = up
+    # The next mismatch lands on 1 exactly, so ``<=`` for ``<`` accepts it.
+    assert eps1 * (1.0 + up) == 1.0
+    return m
+
+
 THRESHOLD = math.nextafter(2.0, 0.0)  # the largest |g| below OPA's kappa
 KAPPA_MAX = largest_finite_square()
+MZ_EPS1 = mz_with(epsilon2=0.7)
+MISMATCH_MAX = last_mismatch_below_one(MZ_EPS1, 1e-3)
 
 # id -> (call with the checked value, last accepted float, first rejected
 # float, a phrase of the check's message)
@@ -133,6 +150,13 @@ BOUNDS = {
     "squeezed-epsilon2-lower": lower(lambda v: squeezed_vacuum_variance(v, OPA), "epsilon2"),
     "squeezed-epsilon2-upper": upper(lambda v: squeezed_vacuum_variance(v, OPA), "epsilon2"),
     "suppression-mismatch": lower(lambda v: suppression_db(mz_with(), 1e-3, v), "mismatch"),
+    "suppression-eps1": (
+        lambda v: suppression_db(MZ_EPS1, 1e-3, v),
+        MISMATCH_MAX,
+        math.nextafter(MISMATCH_MAX, math.inf),
+        "not below 1",
+    ),
+    "db_rel_shot": lower(db_rel_shot, "variance must be > 0", closed=False),
     "model-base": lower(lambda v: NoiseVarianceModel(base=v), "base"),
     "model-half_width": lower(
         lambda v: NoiseVarianceModel(peaks=((1e6, v, 1.0),)), "half-width", closed=False
@@ -150,6 +174,18 @@ def test_endpoint_and_its_neighbour(call, accepted, rejected, match):
     call(accepted)
     with pytest.raises(ValueError, match=match):
         call(rejected)
+
+
+def test_suppression_rejects_infinite_mismatch():
+    with pytest.raises(ValueError, match="mismatch must be finite"):
+        suppression_db(mz_with(), 1e-3, math.inf)
+
+
+def test_low_frequency_term_at_zero_frequency():
+    # Only a positive amplitude makes the 1/f term undefined at 0 Hz.
+    assert NoiseVarianceModel(low_freq_excess=(0.0, 1.0)).evaluate(0.0) == 1.0
+    with pytest.raises(ValueError, match="undefined at zero frequency"):
+        NoiseVarianceModel(low_freq_excess=(TINY, 1.0)).evaluate(0.0)
 
 
 def test_largest_allowed_kappa_gives_finite_transfer():
