@@ -5,7 +5,13 @@ A :class:`NetworkDescription` lists named elements (the optics of
 input ports, the noise-source label of the fresh input on every open input
 port, a designated detector port with homodyne parameters, and the variance
 model of each noise source (vacuum unless given).
-:func:`evaluate` walks the graph in topological order and returns the
+
+A network is a checked wiring plus parameters.  The wiring (names, port
+counts, injected-source labels, edges, inputs and detector) is validated,
+ordered and planned once per structure and cached; a build with a wiring
+already seen checks only what depends on its parameters, its source models.
+A bad wiring is never cached, so it raises on every build.
+:func:`evaluate` follows the plan in topological order and returns the
 sideband field at the detector; :func:`sweep` turns a frequency grid into a
 :class:`Spectrum`: the detected noise and its per-source budget, as columns.
 
@@ -24,6 +30,7 @@ model of its :class:`MachZehnderParams`.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -62,10 +69,17 @@ DARK = "dark"
 
 
 class NetworkError(ValueError):
-    """Invalid network description (cycle, dangling port, duplicate or unknown source)."""
+    """Invalid network description (bad port, cycle, dangling port, duplicate or unknown source)."""
 
 
 Port = tuple[str, int]
+
+#: Stands for the upstream element of a feed that is a fresh source.
+_FRESH = object()
+
+#: How many checked wirings stay cached.  A Mach–Zehnder has two wirings;
+#: verify's random chains and the property tests draw one-off wirings.
+_WIRING_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -76,6 +90,11 @@ class NetworkDescription:
     every other one is vacuum.  Once built it maps every injected source, in
     injection order, to its model, and a label the network does not inject
     is a :class:`NetworkError`.
+
+    The wiring (each element's name, ports and injected sources, the edges,
+    the inputs and the detector) is checked and planned once per structure
+    by :func:`_check_wiring`; each build adds only the checks that depend on
+    parameters.
     """
 
     elements: Mapping[str, Element]
@@ -89,77 +108,129 @@ class NetworkDescription:
         object.__setattr__(self, "elements", dict(self.elements))
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "inputs", dict(self.inputs))
-        self._validate()
-        ids = list(self.inputs.values())
-        for elem in self.elements.values():
-            ids += elem.injected_ids()
+        key = (
+            tuple((name, e.ports, e.injected_ids()) for name, e in self.elements.items()),
+            self.edges,
+            tuple(self.inputs.items()),
+            self.detector,
+        )
+        try:
+            plan, ids = _check_wiring(key)
+        except TypeError:
+            # An unhashable key: name the port at fault, if a port is.
+            _check_ports(self.edges, self.inputs, self.detector)
+            raise
         models = dict.fromkeys(ids, VACUUM)
-        if len(models) < len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise NetworkError(f"noise sources injected more than once: {dupes}")
         if not models.keys() >= self.source_models.keys():
             unknown = sorted(self.source_models.keys() - models.keys())
             raise NetworkError(f"source models for sources not in the network: {unknown}")
         models.update(self.source_models)
         object.__setattr__(self, "source_models", models)
-        object.__setattr__(self, "_order", self._topological_order())
+        object.__setattr__(self, "_plan", plan)
 
-    def _validate(self) -> None:
-        seen_in: set[Port] = set()
-        seen_out: set[Port] = set()
-        for (src_name, src_port), (dst_name, dst_port) in self.edges:
-            for name in (src_name, dst_name):
-                if name not in self.elements:
-                    raise NetworkError(f"edge references unknown element '{name}'")
-            if not 0 <= src_port < self.elements[src_name].ports:
-                raise NetworkError(f"element '{src_name}' has no output port {src_port}")
-            if not 0 <= dst_port < self.elements[dst_name].ports:
-                raise NetworkError(f"element '{dst_name}' has no input port {dst_port}")
-            if (src_name, src_port) in seen_out:
-                raise NetworkError(f"output port {(src_name, src_port)} feeds more than one edge")
-            if (dst_name, dst_port) in seen_in:
-                raise NetworkError(f"input port {(dst_name, dst_port)} has more than one feed")
-            seen_out.add((src_name, src_port))
-            seen_in.add((dst_name, dst_port))
-        for port in self.inputs:
-            name, idx = port
-            if name not in self.elements:
-                raise NetworkError(f"input assignment references unknown element '{name}'")
-            if not 0 <= idx < self.elements[name].ports:
-                raise NetworkError(f"element '{name}' has no input port {idx}")
-            if port in seen_in:
-                raise NetworkError(f"input port {port} is both wired and assigned a source")
-        for name, elem in self.elements.items():
-            for idx in range(elem.ports):
-                if (name, idx) not in seen_in and (name, idx) not in self.inputs:
-                    raise NetworkError(f"dangling input port {(name, idx)}")
-        det_name, det_port = self.detector
-        if det_name not in self.elements:
-            raise NetworkError(f"detector references unknown element '{det_name}'")
-        if not 0 <= det_port < self.elements[det_name].ports:
-            raise NetworkError(f"element '{det_name}' has no output port {det_port}")
-        if self.detector in seen_out:
-            raise NetworkError(f"detector port {self.detector} is consumed by an edge")
 
-    def _topological_order(self) -> tuple[str, ...]:
-        indeg = {name: 0 for name in self.elements}
-        downstream: dict[str, list[str]] = {name: [] for name in self.elements}
-        for (src_name, _), (dst_name, _) in self.edges:
-            indeg[dst_name] += 1
-            downstream[src_name].append(dst_name)
-        ready = deque(name for name, d in indeg.items() if d == 0)
-        order: list[str] = []
-        while ready:
-            name = ready.popleft()
-            order.append(name)
-            for nxt in downstream[name]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    ready.append(nxt)
-        if len(order) < len(self.elements):
-            cyclic = sorted(set(self.elements) - set(order))
-            raise NetworkError(f"network contains a cycle through {cyclic}")
-        return tuple(order)
+def _check_port(port) -> None:
+    """Raise a NetworkError unless ``port`` is a hashable pair."""
+    if isinstance(port, tuple) and len(port) == 2:
+        try:
+            hash(port)
+            return
+        except TypeError:
+            pass
+    raise NetworkError(f"port {port!r} is not a (name, index) pair")
+
+
+def _check_ports(edges, inputs, detector) -> None:
+    """Raise a NetworkError naming the first port, then edge, that is not a hashable pair."""
+    for edge in edges:
+        pair = isinstance(edge, (tuple, list)) and len(edge) == 2
+        for port in edge if pair else ():
+            _check_port(port)
+        if not (pair and isinstance(edge, tuple)):
+            raise NetworkError(f"edge {edge!r} is not a (source, destination) pair of ports")
+    for port in (*inputs, detector):
+        _check_port(port)
+
+
+@functools.lru_cache(maxsize=_WIRING_CACHE_SIZE)
+def _check_wiring(key):
+    """(walk plan, injected sources in order) of a wiring, or its NetworkError.
+
+    ``key`` holds, per element, (name, ``ports``, ``injected_ids()``); then
+    the edges, the inputs' items and the detector.  The walk plan is (steps,
+    detector): each step is (element name, one feed per input port), a feed
+    being (``_FRESH``, fresh-source label) or (upstream name, output index).  An
+    index is any value equal to a port number; the plan holds the int.  A
+    bad wiring raises, and so is never cached.
+    """
+    elements, edges, input_items, detector = key
+    _check_ports(edges, dict(input_items), detector)
+    ports = {name: range(n) for name, n, _ in elements}
+    feeds: dict[Port, tuple] = {}  # input port -> its feed in the plan
+    seen_out: set[Port] = set()
+    for (src_name, src_port), (dst_name, dst_port) in edges:
+        for name in (src_name, dst_name):
+            if name not in ports:
+                raise NetworkError(f"edge references unknown element '{name}'")
+        if src_port not in ports[src_name]:
+            raise NetworkError(f"element '{src_name}' has no output port {src_port}")
+        if dst_port not in ports[dst_name]:
+            raise NetworkError(f"element '{dst_name}' has no input port {dst_port}")
+        if (src_name, src_port) in seen_out:
+            raise NetworkError(f"output port {(src_name, src_port)} feeds more than one edge")
+        if (dst_name, dst_port) in feeds:
+            raise NetworkError(f"input port {(dst_name, dst_port)} has more than one feed")
+        seen_out.add((src_name, src_port))
+        feeds[(dst_name, dst_port)] = (src_name, ports[src_name].index(src_port))
+    for port, label in input_items:
+        name, idx = port
+        if name not in ports:
+            raise NetworkError(f"input assignment references unknown element '{name}'")
+        if idx not in ports[name]:
+            raise NetworkError(f"element '{name}' has no input port {idx}")
+        if port in feeds:
+            raise NetworkError(f"input port {port} is both wired and assigned a source")
+        feeds[port] = (_FRESH, label)
+    step_feeds = {}
+    for name, n in ports.items():
+        try:
+            step_feeds[name] = tuple([feeds[(name, idx)] for idx in n])
+        except KeyError as dangling:
+            raise NetworkError(f"dangling input port {dangling.args[0]}") from None
+    det_name, det_port = detector
+    if det_name not in ports:
+        raise NetworkError(f"detector references unknown element '{det_name}'")
+    if det_port not in ports[det_name]:
+        raise NetworkError(f"element '{det_name}' has no output port {det_port}")
+    if detector in seen_out:
+        raise NetworkError(f"detector port {detector} is consumed by an edge")
+
+    ids = [label for _, label in input_items]
+    for _, _, injected in elements:
+        ids += injected
+    if len(set(ids)) < len(ids):
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        raise NetworkError(f"noise sources injected more than once: {dupes}")
+
+    indeg = dict.fromkeys(ports, 0)
+    downstream: dict[str, list[str]] = {name: [] for name in ports}
+    for (src_name, _), (dst_name, _) in edges:
+        indeg[dst_name] += 1
+        downstream[src_name].append(dst_name)
+    ready = deque(name for name, d in indeg.items() if d == 0)
+    steps = []
+    while ready:
+        name = ready.popleft()
+        steps.append((name, step_feeds[name]))
+        for nxt in downstream[name]:
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                ready.append(nxt)
+    if len(steps) < len(ports):
+        cyclic = sorted(set(ports) - {name for name, _ in steps})
+        raise NetworkError(f"network contains a cycle through {cyclic}")
+    plan = (tuple(steps), (det_name, ports[det_name].index(det_port)))
+    return plan, tuple(ids)
 
 
 def evaluate(net: NetworkDescription, omega: float) -> LinearField:
@@ -167,20 +238,13 @@ def evaluate(net: NetworkDescription, omega: float) -> LinearField:
 
     ``omega`` is a float, or a numpy array to evaluate a whole grid at once.
     """
-    feeds: dict[Port, Port] = {dst: src for src, dst in net.edges}
-    fields: dict[Port, LinearField] = {}
-    for name in net._order:  # noqa: SLF001 - cached on the description itself
-        elem = net.elements[name]
-        ins: list[LinearField] = []
-        for idx in range(elem.ports):
-            port = (name, idx)
-            if port in net.inputs:
-                ins.append(source(net.inputs[port], omega))
-            else:
-                ins.append(fields[feeds[port]])
-        for out_idx, out_field in enumerate(elem.apply(*ins)):
-            fields[(name, out_idx)] = out_field
-    return fields[net.detector]
+    steps, (det_name, det_idx) = net._plan  # noqa: SLF001 - set by the description itself
+    outs: dict[str, tuple[LinearField, ...]] = {}
+    for name, feeds in steps:
+        outs[name] = net.elements[name].apply(
+            *[source(x, omega) if up is _FRESH else outs[up][x] for up, x in feeds]
+        )
+    return outs[det_name][det_idx]
 
 
 @dataclass(frozen=True)

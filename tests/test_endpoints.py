@@ -25,6 +25,7 @@ from sqznet import (
     NetworkError,
     NoiseVarianceModel,
     OpaParams,
+    PhaseShifter,
     db_rel_shot,
     epsilon1_plus,
     loss_chain,
@@ -34,6 +35,7 @@ from sqznet import (
     squeezed_vacuum_variance,
     source,
     suppression_db,
+    sweep,
 )
 
 TINY = math.nextafter(0.0, 1.0)  # the smallest positive float
@@ -41,6 +43,11 @@ BELOW_ONE = math.nextafter(1.0, 0.0)
 ABOVE_ONE = math.nextafter(1.0, 2.0)
 
 OPA = OpaParams(1.0, 1.0, 0.0, 0.0)  # kappa = 2
+HALF_MAX = sys.float_info.max / 2  # two of these sum to the largest float
+
+VACUUM_ONLY = NetworkDescription(
+    elements={"ps": PhaseShifter(0.0)}, edges=(), inputs={("ps", 0): "v"}, detector=("ps", 0)
+)
 
 
 def opa_with(**fields):
@@ -114,6 +121,13 @@ BOUNDS = {
         f"mirrors-{name}": lower(lambda v, name=name: mirrors_with(**{name: v}), "transmissions")
         for name in ("t_ic", "t_oc", "t_loss")
     },
+    # A linewidth of 0.5 Hz keeps every rate, kappa * t / t_total, finite.
+    "mirrors-t_total": (
+        lambda v: mirrors_with(linewidth_hz=0.5, t_ic=HALF_MAX, t_oc=v, t_loss=0.0),
+        HALF_MAX,
+        math.nextafter(HALF_MAX, math.inf),
+        "transmissions must be finite",
+    ),
     "mirrors-linewidth": lower(
         lambda v: mirrors_with(linewidth_hz=v, t_ic=0.0, t_loss=0.0), "linewidth", closed=False
     ),
@@ -155,6 +169,9 @@ BOUNDS = {
         MISMATCH_MAX,
         math.nextafter(MISMATCH_MAX, math.inf),
         "not below 1",
+    ),
+    "sweep-grid-start": lower(
+        lambda v: sweep(VACUUM_ONLY, [v, 1.0]), "increasing and positive", closed=False
     ),
     "db_rel_shot": lower(db_rel_shot, "variance must be > 0", closed=False),
     "model-base": lower(lambda v: NoiseVarianceModel(base=v), "base"),

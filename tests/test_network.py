@@ -33,7 +33,8 @@ from sqznet.network import (
     PhaseShifter,
     build_mach_zehnder,
 )
-from sqznet.verify import draw_opa, random_chain
+from sqznet.network import _WIRING_CACHE_SIZE, _check_wiring
+from sqznet.verify import check_passive_unitarity, draw_opa, random_chain
 
 
 def mz_params(eps1, eps2, phi, opa, **kw):
@@ -229,6 +230,134 @@ class TestValidation:
                 inputs={("a", 0): "s"},
                 detector=("a", 0),
             )
+
+
+    @pytest.mark.parametrize(
+        "wiring, match",
+        [
+            # Each once failed with a TypeError, in evaluate or at build.
+            ({"edges": [[["a", 0], ["b", 0]]]}, r"^port \['a', 0\] is not a \(name, index\) pair$"),
+            ({"edges": [(("a", 0), ["b", 0])]}, r"^port \['b', 0\] is not a \(name, index\) pair$"),
+            ({"detector": ["b", 0]}, r"^port \['b', 0\] is not a \(name, index\) pair$"),
+            ({"detector": ("b", [0])}, r"^port \('b', \[0\]\) is not a \(name, index\) pair$"),
+            ({"inputs": {"a0": "x"}}, r"^port 'a0' is not a \(name, index\) pair$"),
+            ({"inputs": {("a", 0, 1): "x"}}, r"^port \('a', 0, 1\) is not a \(name, index\) pair$"),
+            (
+                {"edges": [[("a", 0), ("b", 0)]]},
+                r"^edge \[\('a', 0\), \('b', 0\)\] is not a \(source, destination\) pair",
+            ),
+        ],
+    )
+    def test_port_that_is_not_a_hashable_pair(self, wiring, match):
+        def chain(**kw):
+            return NetworkDescription(
+                **{
+                    "elements": {"a": PhaseShifter(0.0), "b": PhaseShifter(0.0)},
+                    "edges": ((("a", 0), ("b", 0)),),
+                    "inputs": {("a", 0): "x"},
+                    "detector": ("b", 0),
+                    **kw,
+                }
+            )
+
+        evaluate(chain(), 1.0)
+        with pytest.raises(NetworkError, match=match):
+            chain(**wiring)
+
+
+class TestWiringCache:
+    @staticmethod
+    def splitter(models=None, labels=("x", "y")):
+        return NetworkDescription(
+            elements={"bs": Beamsplitter(0.5)},
+            edges=(),
+            inputs={("bs", 0): labels[0], ("bs", 1): labels[1]},
+            detector=("bs", 0),
+            source_models=models or {},
+        )
+
+    def test_hit_still_checks_source_models(self):
+        self.splitter()
+        self.splitter()
+        with pytest.raises(NetworkError, match=r"not in the network: \['z'\]$"):
+            self.splitter(models={"z": VACUUM})
+
+    def test_invalid_wiring_raises_on_every_build(self):
+        def pair(cycle):
+            # bs1 feeds bs2; with ``cycle`` bs2 feeds bs1 back in place of a source.
+            back = ((("bs2", 0), ("bs1", 0)),) if cycle else ()
+            return NetworkDescription(
+                elements={"bs1": Beamsplitter(0.5), "bs2": Beamsplitter(0.5)},
+                edges=((("bs1", 0), ("bs2", 0)), *back),
+                inputs={("bs1", 1): "a", ("bs2", 1): "b", **({} if cycle else {("bs1", 0): "c"})},
+                detector=("bs1", 1) if cycle else ("bs2", 1),
+            )
+
+        with pytest.raises(NetworkError, match=r"cycle through \['bs1', 'bs2'\]$"):
+            pair(cycle=True)
+        pair(cycle=False)  # its valid neighbour, now cached
+        for _ in range(2):
+            with pytest.raises(NetworkError, match=r"cycle through \['bs1', 'bs2'\]$"):
+                pair(cycle=True)
+
+    def test_bounded_after_many_topologies(self):
+        check_passive_unitarity()  # 100 distinct chain topologies
+        info = _check_wiring.cache_info()
+        assert info.maxsize == _WIRING_CACHE_SIZE
+        assert info.currsize <= _WIRING_CACHE_SIZE
+
+    def test_designs_with_one_wiring_share_one_plan(self, rng):
+        a = build_mach_zehnder(mz_params(0.3, 0.9, 0.1, draw_opa(rng), propagation_eta=0.8))
+        b = build_mach_zehnder(mz_params(0.6, 0.2, -1.0, draw_opa(rng), propagation_eta=0.5))
+        c = build_mach_zehnder(mz_params(0.6, 0.2, -1.0, draw_opa(rng)))
+        assert a._plan is b._plan
+        assert c._plan is not a._plan
+
+    def test_index_equal_to_a_port_number(self):
+        # An index that equals a port number names that port, on a miss as
+        # on a hit: the plan holds the int.
+        def chain(idx):
+            return NetworkDescription(
+                elements={"a": Beamsplitter(0.3), "b": PhaseShifter(0.5)},
+                edges=((("a", idx), ("b", 0)),),
+                inputs={("a", 0): "x", ("a", 1): "y"},
+                detector=("b", idx - 1),
+            )
+
+        want = evaluate(chain(1), 1.0).coeffs
+        _check_wiring.cache_clear()
+        for _ in range(2):  # a miss, then a hit
+            assert evaluate(chain(1.0), 1.0).coeffs == want
+
+    def test_any_hashable_element_name(self):
+        # A fresh source in the plan is marked by a private sentinel, so no
+        # element name, None included, is mistaken for one.
+        def chain(name):
+            return NetworkDescription(
+                elements={name: Beamsplitter(0.3), "b": PhaseShifter(0.5)},
+                edges=(((name, 1), ("b", 0)),),
+                inputs={(name, 0): "x", (name, 1): "y"},
+                detector=("b", 0),
+            )
+
+        assert evaluate(chain(None), 1.0).coeffs == evaluate(chain("a"), 1.0).coeffs
+
+    def test_hit_evaluates_like_a_miss(self, rng):
+        cfg = load_preset("paper-fig2")
+        p = cfg.mach_zehnder
+        other = mz_params(0.3, 0.9, 0.1, draw_opa(rng), propagation_eta=0.8)
+        _check_wiring.cache_clear()
+        on_miss = build_mach_zehnder(p)
+        _check_wiring.cache_clear()
+        build_mach_zehnder(other)  # plans the wiring from another design
+        on_hit = build_mach_zehnder(p)
+        assert on_hit._plan is not on_miss._plan
+        for omega in (0.0, 2 * math.pi * 8e4, 2 * math.pi * np.logspace(3, 8, 50)):
+            hit, miss = evaluate(on_hit, omega), evaluate(on_miss, omega)
+            assert list(hit.coeffs) == list(miss.coeffs)
+            for sid, (cp, cm) in miss.coeffs.items():
+                assert np.array_equal(hit.coeffs[sid][0], cp)
+                assert np.array_equal(hit.coeffs[sid][1], cm)
 
 
 class TestBuildMachZehnder:

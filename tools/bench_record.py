@@ -72,7 +72,7 @@ def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
 def summary(record: dict, parent: str, change: str, end_to_end: list[dict]) -> list[str]:
     """Per workload, the end-to-end medians of ``parent`` and ``change`` over
     every pair of the two in ``record``, their ratio, the change's wins and
-    the load range."""
+    the load range.  A metric missing from any run of a workload is left out."""
     pairs: dict = defaultdict(dict)
     for run in record["runs"]:
         pairs[run["pair"]][run["commit"]] = run
@@ -89,6 +89,8 @@ def summary(record: dict, parent: str, change: str, end_to_end: list[dict]) -> l
         )
         for metric in end_to_end:
             name = metric["name"]
+            if any(name not in run["result"]["metrics"] for pair in matched for run in pair):
+                continue  # a traced run reports per-layer metrics only
             a, b = ([run["result"]["metrics"][name]["value"] for run in side] for side in zip(*matched))
             sign = 1 if metric["better"] == "higher" else -1
             wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
