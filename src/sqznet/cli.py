@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from collections.abc import Sequence
 from dataclasses import replace
@@ -19,42 +20,59 @@ from .core import db_rel_shot
 from .network import DARK, DETECTION, build_mach_zehnder, sweep
 
 
+def _csv_parts(cfg: ScenarioConfig) -> tuple[str, str]:
+    """The header line and the data rows of the scenario's CSV.
+
+    Columns: frequency_hz, v_total, v_total_db, shot_ref, then the optional
+    bare-OPA comparison curve, then per-source budget columns.
+    """
+    net = build_mach_zehnder(cfg.mach_zehnder)
+    grid = cfg.grid.frequencies()
+    spectrum = sweep(net, grid)
+    header = ["frequency_hz", "v_total", "v_total_db", "shot_ref"]
+    # dB by math.log10 per value: numpy's log10 can differ from it by an ulp.
+    v = spectrum.v_plus
+    columns = [spectrum.frequency_hz, v, map(db_rel_shot, v), repeat(1.0)]
+    if cfg.include_bare_opa:
+        header.append("v_bare_opa")
+        columns.append(bare_source_variance(cfg.mach_zehnder, grid))
+    if cfg.include_budget:
+        budget_cols = [*net.source_models, DETECTION, DARK]
+        header += budget_cols
+        columns += [spectrum.contributions[c] for c in budget_cols]
+    # 12 significant digits: independent rounding of the budget columns must
+    # stay well inside the 1e-9 closure guarantee on the formatted values.
+    row_fmt = ",".join(["%.11e"] * len(header)) + "\n"
+    return ",".join(header) + "\n", "".join(map(row_fmt.__mod__, zip(*columns)))
+
+
 def write_csv(cfg: ScenarioConfig, out_path: str) -> None:
     """Sweep the scenario and write one CSV row per grid frequency.
 
-    Columns: frequency_hz, v_total, v_total_db, shot_ref, then the optional
-    bare-OPA comparison curve, then per-source budget columns.  The rows go
-    to a new file next to ``out_path``, created first, so an unwritable path
-    fails before any point is computed.  It replaces ``out_path`` once
-    complete and is removed on any failure, which leaves ``out_path`` as it
-    was.
+    The rows go to a new file next to ``out_path``, created first, so an
+    unwritable path fails before any point is computed.  It replaces
+    ``out_path`` once complete and is removed on any failure, which leaves
+    ``out_path`` as it was.  An ``out_path`` that exists and is not a
+    regular file (a pipe or a device) is not replaced: every row is
+    formatted first, then written through it.
     """
-    if os.path.isdir(out_path):
+    try:
+        mode = os.stat(out_path).st_mode
+    except FileNotFoundError:
+        mode = stat.S_IFREG  # a new path becomes a regular file
+    if stat.S_ISDIR(mode):
         raise IsADirectoryError(f"cannot write {out_path!r}: it is a directory")
+    if not stat.S_ISREG(mode):
+        parts = _csv_parts(cfg)
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(parts)
+        return
     tmp_path = f"{out_path}.{os.urandom(4).hex()}.tmp"
     # The mode open(..., "w") would give: 0o666 less the umask.
     fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-            net = build_mach_zehnder(cfg.mach_zehnder)
-            grid = cfg.grid.frequencies()
-            spectrum = sweep(net, grid)
-            header = ["frequency_hz", "v_total", "v_total_db", "shot_ref"]
-            # dB by math.log10 per value: numpy's log10 can differ from it by an ulp.
-            v = spectrum.v_plus
-            columns = [spectrum.frequency_hz, v, map(db_rel_shot, v), repeat(1.0)]
-            if cfg.include_bare_opa:
-                header.append("v_bare_opa")
-                columns.append(bare_source_variance(cfg.mach_zehnder, grid))
-            if cfg.include_budget:
-                budget_cols = [*net.source_models, DETECTION, DARK]
-                header += budget_cols
-                columns += [spectrum.contributions[c] for c in budget_cols]
-            # 12 significant digits: independent rounding of the budget columns must
-            # stay well inside the 1e-9 closure guarantee on the formatted values.
-            row_fmt = ",".join(["%.11e"] * len(header)) + "\n"
-            fh.write(",".join(header) + "\n")
-            fh.write("".join(map(row_fmt.__mod__, zip(*columns))))
+            fh.writelines(_csv_parts(cfg))
         os.replace(tmp_path, out_path)
     except BaseException:
         os.unlink(tmp_path)

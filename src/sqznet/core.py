@@ -22,10 +22,16 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
+
+#: The largest float whose square is finite (the square root of the largest
+#: float rounds down).  A check against it squares nothing, so an array
+#: entry past it raises no overflow warning.
+_SQUARE_MAX = math.sqrt(sys.float_info.max)
 
 
 def _any(cond) -> bool:
@@ -72,7 +78,8 @@ class NoiseVarianceModel:
     ``peaks`` are Lorentzian excess-noise features given as
     (center_hz, half_width_hz, peak_excess); ``low_freq_excess`` adds an
     ``amplitude / f**exponent`` rise (f in Hz).  Every number must be finite,
-    and may be an array over designs.
+    and may be an array over designs; a half-width must also have a finite
+    square.
     """
 
     base: float = 1.0
@@ -88,6 +95,10 @@ class NoiseVarianceModel:
                 _require(ok, "peak center must be finite, got {}", center)
             if (ok := (0.0 < half_width) & (half_width < math.inf)) is not True:
                 _require(ok, "peak half-width must be finite and > 0, got {}", half_width)
+            if (ok := half_width <= _SQUARE_MAX) is not True:
+                _require(
+                    ok, "peak half-width = {:.4g} is too large: its square overflows", half_width
+                )
             if (ok := (0.0 <= excess) & (excess < math.inf)) is not True:
                 _require(ok, "peak excess must be finite and >= 0, got {}", excess)
         if self.low_freq_excess is not None:

@@ -29,16 +29,19 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .core import LinearField, NoiseVarianceModel, Quadrature, _any, _require, combine, variance
-
-#: The largest float whose square is finite (the square root of the largest
-#: float rounds down).  Comparing kappa with it squares nothing, so an array
-#: entry past it raises no overflow warning.
-_KAPPA_MAX = math.sqrt(sys.float_info.max)
+from .core import (
+    _SQUARE_MAX,
+    LinearField,
+    NoiseVarianceModel,
+    Quadrature,
+    _any,
+    _require,
+    combine,
+    variance,
+)
 
 
 def _sqrt(x):
@@ -100,7 +103,7 @@ class OpaParams(_ByValue):
         if (ok := kappa > 0.0) is not True:
             _require(ok, "total decay rate kappa must be > 0")
         # Bounds every rate product the transfer forms: 4*k_ic*k_oc <= kappa**2.
-        if (ok := kappa <= _KAPPA_MAX) is not True:
+        if (ok := kappa <= _SQUARE_MAX) is not True:
             _require(ok, "total decay rate kappa = {:.4g} is too large: its square overflows", kappa)
         if (ok := abs(self.g) < kappa) is not True:
             _require(ok, "|g| = {:.4g} must be below threshold kappa = {:.4g}", abs(self.g), kappa)

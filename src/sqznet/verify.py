@@ -38,7 +38,6 @@ from .config import load_preset
 from .core import VACUUM, LinearField, Quadrature, sum_coefficient_power, variance
 from .elements import (
     Beamsplitter,
-    HomodyneParams,
     LossElement,
     Opa,
     OpaParams,
@@ -136,18 +135,17 @@ def check_consistency(draws: int = 10_000, seed: int = 0) -> SuiteResult:
 
 
 def random_chain(
-    rng: np.random.Generator, designs: int | None = None, passive: bool = True
+    rng: np.random.Generator, designs: int, passive: bool = True
 ) -> NetworkDescription:
     """Random chain of 1 to 8 elements with every loss port tracked.
 
     The topology (the length, each element's kind and each beamsplitter's
-    output port) is drawn once.  With ``designs=None`` every parameter is a
-    number; with ``designs=M`` each is an array of shape ``(M, 1)``, M
-    designs of that topology, to be evaluated at frequencies of shape
-    ``(M, K)``.  A passive chain's cavities have g = 0; otherwise each has
-    |g| < 0.95 kappa.
+    output port) is drawn once, then each parameter as an array of shape
+    ``(designs, 1)``: that many designs of the topology, to be evaluated at
+    frequencies of shape ``(designs, K)``.  A passive chain's cavities have
+    g = 0; otherwise each has |g| < 0.95 kappa.
     """
-    size = None if designs is None else (designs, 1)
+    size = (designs, 1)
     elements: dict = {}
     edges: list = []
     inputs: dict = {("e0", 0): "in-0"}
@@ -163,7 +161,7 @@ def random_chain(
         elif kind == 2:
             elem = LossElement(rng.uniform(0.1, 1.0, size), f"loss-{i}")
         else:
-            elem = Opa(draw_opa(rng, passive, size or ()), f"oc-{i}", f"intracav-{i}")
+            elem = Opa(draw_opa(rng, passive, size), f"oc-{i}", f"intracav-{i}")
         elements[name] = elem
         if current is not None:
             edges.append((current, (name, 0)))
@@ -174,11 +172,7 @@ def random_chain(
             current = (name, 0)
     assert current is not None
     return NetworkDescription(
-        elements=elements,
-        edges=tuple(edges),
-        inputs=inputs,
-        detector=current,
-        detection=HomodyneParams(),
+        elements=elements, edges=tuple(edges), inputs=inputs, detector=current
     )
 
 

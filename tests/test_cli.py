@@ -1,15 +1,24 @@
+import contextlib
 import gzip
+import importlib.util
+import io
 import math
 import os
 import random
+import stat
 import subprocess
 import sys
+import tempfile
+import threading
+import warnings
 from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sqznet
 from sqznet import Quadrature, evaluate, homodyne_readout, sweep
@@ -26,6 +35,18 @@ from sqznet.network import build_mach_zehnder
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The benchmark's seeded inputs and output checks.
+workloads = _load_workloads()
 
 
 def run(argv):
@@ -208,27 +229,19 @@ class TestSweepCommand:
         write_csv(load_preset("paper-fig3"), str(out))
         assert_rows_within_one_step(out.read_text(encoding="utf-8").splitlines(), expected)
 
-    def test_dense_grid_matches_stored_reference(self, tmp_path, monkeypatch):
+    def test_dense_grid_matches_stored_reference(self, tmp_path):
         # The benchmark's dense-grid scenario through the CLI: a YAML file, a
         # linear grid of 20 000 points, dark noise and every budget column.
         # The rows the benchmark stores are compared as text, one step of the
         # 12th digit allowed as for paper-fig3.
-        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-        from workloads import (
-            DENSE_POINTS,
-            DENSE_REFERENCE_SEED,
-            DENSE_REFERENCE_STRIDE,
-            random_scenario,
-            read_reference,
-            reference_rows,
-        )
-
-        scenario = random_scenario(random.Random(DENSE_REFERENCE_SEED), DENSE_POINTS)
+        seed = workloads.DENSE_REFERENCE_SEED
+        scenario = workloads.random_scenario(random.Random(seed), workloads.DENSE_POINTS)
         cfg_path, out = tmp_path / "dense.yaml", tmp_path / "dense.csv"
         cfg_path.write_text(yaml.safe_dump(scenario), encoding="utf-8")
         assert run(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
-        got = reference_rows(out.read_text(encoding="utf-8"), DENSE_REFERENCE_STRIDE)
-        expected = read_reference(f"dense-grid-seed{DENSE_REFERENCE_SEED}.rows.csv.gz")
+        text = out.read_text(encoding="utf-8")
+        got = workloads.reference_rows(text, workloads.DENSE_REFERENCE_STRIDE)
+        expected = workloads.read_reference(f"dense-grid-seed{seed}.rows.csv.gz")
         assert_rows_within_one_step(got, expected)
 
     def test_db_column_is_log_of_swept_total(self, tmp_path):
@@ -280,6 +293,41 @@ class TestSweepCommand:
         assert err.endswith(" is too large: its square overflows\n") and err.count("\n") == 1
         assert out.read_text(encoding="utf-8") == "previous contents\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_peak_half_width_exits_1(self, tmp_path, capsys):
+        # A half-width whose square overflows is rejected where the source
+        # model is built: one error line, and a previous --out kept as it was.
+        data = _paper_base()
+        data["source_noise"]["peaks"][0]["half_width_hz"] = 1e300
+        cfg_path, out = tmp_path / "wide.yaml", tmp_path / "wide.csv"
+        cfg_path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        out.write_text("previous contents\n", encoding="utf-8")
+        assert run(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: invalid source_noise: peak half-width = 1e+300 is too large: "
+            "its square overflows\n"
+        )
+        assert out.read_text(encoding="utf-8") == "previous contents\n"
+        assert sorted(os.listdir(tmp_path)) == ["wide.csv", "wide.yaml"]
+
+    def test_fifo_out_is_written_through(self, tmp_path):
+        # A pipe at --out stays a pipe and carries the bytes a regular file
+        # gets.  The CSV is larger than a pipe's buffer, so it is read
+        # while it is written.
+        fifo, regular = tmp_path / "fifo.csv", tmp_path / "regular.csv"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run(["sweep", "--preset", "paper-fig3", "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert run(["sweep", "--preset", "paper-fig3", "--out", str(regular)]) == 0
+        assert received == [regular.read_bytes()]
+        assert sorted(os.listdir(tmp_path)) == ["fifo.csv", "regular.csv"]
+
     def test_written_file_gets_umask_mode(self, tmp_path):
         out = tmp_path / "fig3.csv"
         umask = os.umask(0o022)
@@ -320,6 +368,72 @@ class TestSweepCommand:
         assert run(argv) == 1
         assert f"[2, {MAX_GRID_POINTS}]" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _leaves(node, prefix=()):
+    """The path of every leaf under ``node``, through keys and list indices."""
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        if isinstance(child, (dict, list)):
+            yield from _leaves(child, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+SCENARIO_POINTS = 300
+DELETE = object()
+LEAVES = sorted(_leaves(workloads.random_scenario(random.Random(0), SCENARIO_POINTS)), key=repr)
+# Values at and past the edges of what a leaf may hold, in every type YAML gives.
+EDGE_VALUES = [1e308, -1e308, 5e-324, -0.0, "1e999", "-1e999", "nan", "inf", "-inf"]
+EDGE_VALUES += [True, False, [1.0], None, DELETE]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    path=st.sampled_from(LEAVES),
+    value=st.sampled_from(EDGE_VALUES),
+)
+@example(seed=0, path=("source_noise", "peaks", 0, "half_width_hz"), value=1e308)
+def test_one_leaf_edit_gives_a_finite_csv_or_one_error_line(seed, path, value):
+    # The CLI's contract, through main: exit 0 with a finite CSV whose
+    # budget closes, or exit 1 with one error line and --out as it was.
+    data = workloads.random_scenario(random.Random(seed), SCENARIO_POINTS)
+    *parents, leaf = path
+    node = data
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp, "edited.yaml"), Path(tmp, "edited.csv")
+        cfg_path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        out.write_text("sentinel\n", encoding="utf-8")
+        err = io.StringIO()
+        # A warning would print to stderr as well, so main may issue none.
+        # They are recorded, not raised, so only main's own are counted.
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        assert sorted(os.listdir(tmp)) == ["edited.csv", "edited.yaml"]
+        if code == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert out.read_text(encoding="utf-8") == "sentinel\n"
+            return
+        assert code == 0 and err.getvalue() == ""
+        header, *rows = out.read_text(encoding="utf-8").splitlines()
+    columns = header.split(",")
+    first = columns.index("shot_ref") + 1
+    budget = [i for i, c in enumerate(columns) if i >= first and c != "v_bare_opa"]
+    for row in rows:
+        cells = [float(x) for x in row.split(",")]
+        assert all(math.isfinite(x) for x in cells)
+        v_total = cells[columns.index("v_total")]
+        if budget:
+            assert math.fsum(cells[i] for i in budget) == pytest.approx(v_total, rel=1e-9)
 
 
 class TestVerifyCommand:

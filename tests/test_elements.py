@@ -156,12 +156,6 @@ class TestOpa:
         assert out.coefficient("seed", Quadrature.PLUS) == pytest.approx(1.0, abs=1e-15)
         assert abs(out.coefficient("oc", Quadrature.PLUS)) < 1e-15
 
-    def test_passive_coefficient_power_unit(self):
-        opa = OpaParams(kappa_ic=2e6, kappa_oc=4e7, kappa_loss=5e6, g=0.0)
-        for omega in (0.0, 1e6, 1e8):
-            out = opa_transfer(source("seed", omega), opa, "oc", "cav")
-            assert sum_coefficient_power(out, Quadrature.PLUS) == pytest.approx(1.0, abs=1e-12)
-
     def test_quadrature_duality_variances(self):
         opa = OpaParams(kappa_ic=0.0, kappa_oc=1.0, kappa_loss=0.0, g=-0.5)
         out = opa_transfer(source("seed", 0.0), opa, "oc", "cav")

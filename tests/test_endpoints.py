@@ -97,7 +97,7 @@ def last_mismatch_below_one(p, omega):
 
 
 THRESHOLD = math.nextafter(2.0, 0.0)  # the largest |g| below OPA's kappa
-KAPPA_MAX = largest_finite_square()
+SQUARE_MAX = largest_finite_square()
 MZ_EPS1 = mz_with(epsilon2=0.7)
 MISMATCH_MAX = last_mismatch_below_one(MZ_EPS1, 1e-3)
 
@@ -113,8 +113,8 @@ BOUNDS = {
     "opa-kappa": lower(lambda v: OpaParams(v, 0.0, 0.0, 0.0), "kappa must be > 0", closed=False),
     "opa-kappa-square": (
         lambda v: OpaParams(0.0, v, 0.0, 0.0),
-        KAPPA_MAX,
-        math.nextafter(KAPPA_MAX, math.inf),
+        SQUARE_MAX,
+        math.nextafter(SQUARE_MAX, math.inf),
         "square overflows",
     ),
     **{
@@ -178,6 +178,12 @@ BOUNDS = {
     "model-half_width": lower(
         lambda v: NoiseVarianceModel(peaks=((1e6, v, 1.0),)), "half-width", closed=False
     ),
+    "model-half_width-square": (
+        lambda v: NoiseVarianceModel(peaks=((1e6, v, 1.0),)),
+        SQUARE_MAX,
+        math.nextafter(SQUARE_MAX, math.inf),
+        "square overflows",
+    ),
     "model-excess": lower(lambda v: NoiseVarianceModel(peaks=((1e6, 1e5, v),)), "excess"),
     "model-amplitude": lower(
         lambda v: NoiseVarianceModel(low_freq_excess=(v, 1.0)), "amplitude"
@@ -207,8 +213,8 @@ def test_low_frequency_term_at_zero_frequency():
 
 def test_largest_allowed_kappa_gives_finite_transfer():
     # Every rate product the transfer forms is at most kappa**2.
-    p = OpaParams(KAPPA_MAX / 2, KAPPA_MAX / 2, 0.0, -KAPPA_MAX / 2)
-    assert p.kappa == KAPPA_MAX
+    p = OpaParams(SQUARE_MAX / 2, SQUARE_MAX / 2, 0.0, -SQUARE_MAX / 2)
+    assert p.kappa == SQUARE_MAX
     out = opa_transfer(source("s", 1.0), p, "oc", "cav")
     assert all(cmath.isfinite(c) for pair in out.coeffs.values() for c in pair)
     assert 0.0 < epsilon1_plus(0.5, p) < 1.0
