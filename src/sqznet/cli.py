@@ -54,7 +54,8 @@ def write_csv(cfg: ScenarioConfig, out_path: str) -> None:
     ``out_path`` once complete and is removed on any failure, which leaves
     ``out_path`` as it was.  An ``out_path`` that exists and is not a
     regular file (a pipe or a device) is not replaced: every row is
-    formatted first, then written through it.
+    formatted first, then written through it.  A symlink at ``out_path``
+    stays one, and the file it names is replaced.
     """
     try:
         mode = os.stat(out_path).st_mode
@@ -67,13 +68,17 @@ def write_csv(cfg: ScenarioConfig, out_path: str) -> None:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(parts)
         return
-    tmp_path = f"{out_path}.{os.urandom(4).hex()}.tmp"
-    # The mode open(..., "w") would give: 0o666 less the umask.
-    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    real_path = os.path.realpath(out_path)
+    tmp_path = f"{real_path}.{os.urandom(4).hex()}.tmp"
+    try:
+        # The mode open(..., "w") would give: 0o666 less the umask.
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise type(exc)(f"cannot write {out_path!r}: {exc.strerror}") from exc
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(_csv_parts(cfg))
-        os.replace(tmp_path, out_path)
+        os.replace(tmp_path, real_path)
     except BaseException:
         os.unlink(tmp_path)
         raise

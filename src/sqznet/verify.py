@@ -9,20 +9,24 @@ leaves every suite's invariant intact) passes `verify` and fails the tests.
 A suite that raises is reported as a failure naming the exception, and a
 NaN error fails its suite.
 
-Only the uncertainty-product suite still evaluates one design at one
-frequency at a time.  The consistency suite draws each block of ``_BLOCK``
-designs as arrays, with :func:`draw_opa` like every random cavity here,
-and builds and evaluates each block as one network.  The unitarity suite
-draws each random chain topology once and its parameters as arrays over
-``_DESIGNS`` designs, so one build and one walk cover every design and
-frequency of a topology.  Every other topology has gain.  On every design
-it checks the output commutator ``sum_j c_j+ * conj(c_j-) = 1``, which
-holds with gain and sees the phase of each coefficient; on the passive
-ones also V = 1 and ``sum_j |c_j|^2 = 1``.  The seeds of these two suites
-name their blocks, not the designs of a one-design loop.  The
-residual-scaling suite evaluates one network over an array of frequencies.
-All run the same ``evaluate`` as a single design at a single frequency.
-Budget closure sums the columns of one ``Spectrum``.
+The consistency suite draws each block of ``_BLOCK`` designs as arrays,
+with :func:`draw_opa` like every random cavity here, and builds and
+evaluates each block as one network.  The unitarity suite draws each random
+chain topology once and its parameters as arrays over ``_DESIGNS`` designs,
+so one build and one walk cover every design and frequency of a topology.
+Every other topology has gain.  On every design it checks the output
+commutator ``sum_j c_j+ * conj(c_j-) = 1``, which holds with gain and sees
+the phase of each coefficient; on the passive ones also V = 1 and
+``sum_j |c_j|^2 = 1``.  The seeds of these two suites name their blocks,
+not the designs of a one-design loop.  The uncertainty suite draws all its
+rounds in one call, with the bits a loop of ``uniform`` calls would draw,
+and evaluates its lossy cavities as one array.  Its lossless closed form
+comes within a few ulp of the tolerance, where the array branch of
+:func:`opa_transfer` is less accurate than the float branch, so that half
+runs one cavity at a time on floats.  The residual-scaling suite evaluates
+one network over an array of frequencies.  All run the same ``evaluate`` as
+a single design at a single frequency.  Budget closure sums the columns of
+one ``Spectrum``.
 """
 
 from __future__ import annotations
@@ -95,15 +99,27 @@ def _fold(worst: float, *errors) -> float:
     return worst
 
 
+def _cavity(u, passive: bool) -> OpaParams:
+    """The cavity :func:`draw_opa` makes of uniforms ``u`` in [0, 1).
+
+    Rows 0 to 2 of ``u`` give the three rates and row 3 the gain, each
+    mapped as ``Generator.uniform`` maps its uniforms to ``[low, high)``,
+    ``low + (high - low) * u``, so the cavity has the bits that ``uniform``
+    calls taking the same uniforms would draw.
+    """
+    rates = 1e5 + (1e8 - 1e5) * u[:3]
+    kappa = rates.sum(axis=0)
+    low = -0.95 * kappa
+    g = 0.0 if passive else low + (0.0 - low) * u[3]
+    return OpaParams(kappa_ic=rates[0], kappa_oc=rates[1], kappa_loss=rates[2], g=g)
+
+
 def draw_opa(rng: np.random.Generator, passive: bool = False, shape: tuple = ()) -> OpaParams:
     """Random below-threshold cavity, |g| < 0.95 kappa; all three ports strictly open.
 
     With a ``shape`` every field is an array of it, one cavity per entry.
     """
-    rates = rng.uniform(1e5, 1e8, size=(3, *shape))
-    kappa = rates.sum(axis=0)
-    g = 0.0 if passive else rng.uniform(-0.95 * kappa, 0.0)
-    return OpaParams(kappa_ic=rates[0], kappa_oc=rates[1], kappa_loss=rates[2], g=g)
+    return _cavity(rng.random((3 if passive else 4, *shape)), passive)
 
 
 def check_consistency(draws: int = 10_000, seed: int = 0) -> SuiteResult:
@@ -213,7 +229,7 @@ def check_passive_unitarity(seed: int = 1) -> SuiteResult:
 
 
 def opa_output_variances(opa: OpaParams, omega: float) -> tuple[float, float]:
-    """(V+, V-) of the vacuum-seeded cavity output."""
+    """(V+, V-) of the vacuum-seeded cavity output; arrays over stacked cavities."""
     seed_field = source("seed", omega)
     out = opa_transfer(seed_field, opa, "oc", "intracav")
     models = {k: VACUUM for k in ("seed", "oc", "intracav")}
@@ -226,19 +242,27 @@ def opa_output_variances(opa: OpaParams, omega: float) -> tuple[float, float]:
 def check_uncertainty_product(seed: int = 2) -> SuiteResult:
     """V+ * V- >= 1 always; equality and the closed form for a lossless cavity.
 
-    1000 random cavities.
+    1000 rounds, each a lossy cavity as :func:`draw_opa` makes one, a
+    frequency and a lossless single-port cavity.  Their uniforms come from
+    one ``random`` call, mapped as ``Generator.uniform`` maps them, so each
+    round has the bits a loop of ``uniform`` calls would draw.  The lossy
+    cavities are evaluated as one array, where ``1 - V+ V-`` stays far
+    inside the tolerance.  The tolerance is about 4 ulp of the lossless
+    closed form's V-, so that half runs on plain floats, one round at a
+    time: the array branch of :func:`opa_transfer` is a few ulp less
+    accurate.
     """
-    rng = np.random.default_rng(seed)
+    # Per round: the lossy cavity, the frequency, the lossless kappa and g.
+    u = np.random.default_rng(seed).random((1000, 7))
     tol = 1e-12
-    worst = 0.0
-    for _ in range(1000):
-        opa = draw_opa(rng)
-        omega = 2.0 * math.pi * rng.uniform(1e3, 5e7)
-        vp, vm = opa_output_variances(opa, omega)
-        worst = _fold(worst, 1.0 - vp * vm)
-        # Lossless single-port cavity: closed form and exact minimum uncertainty.
-        kappa = rng.uniform(1e6, 3e8)
-        g = rng.uniform(-0.95 * kappa, -1e-3 * kappa)
+    omega = 2.0 * math.pi * (1e3 + (5e7 - 1e3) * u[:, 4])
+    vp, vm = opa_output_variances(_cavity(u[:, :4].T, passive=False), omega)
+    worst = _fold(0.0, 1.0 - vp * vm)
+    # Lossless single-port cavity: closed form and exact minimum uncertainty.
+    kappa = 1e6 + (3e8 - 1e6) * u[:, 5]
+    low, high = -0.95 * kappa, -1e-3 * kappa
+    g = low + (high - low) * u[:, 6]
+    for omega, kappa, g in zip(omega.tolist(), kappa.tolist(), g.tolist()):
         lossless = OpaParams(kappa_ic=0.0, kappa_oc=kappa, kappa_loss=0.0, g=g)
         vp, vm = opa_output_variances(lossless, omega)
         ref_p = (omega**2 + (kappa + g) ** 2) / (omega**2 + (kappa - g) ** 2)

@@ -328,6 +328,25 @@ class TestSweepCommand:
         assert received == [regular.read_bytes()]
         assert sorted(os.listdir(tmp_path)) == ["fifo.csv", "regular.csv"]
 
+    def test_symlink_out_stays_a_link_to_the_new_rows(self, tmp_path):
+        link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+        regular = tmp_path / "regular.csv"
+        target.write_text("old\n", encoding="utf-8")
+        link.symlink_to(target.name)
+        assert run(["sweep", "--preset", "paper-fig3", "--out", str(link)]) == 0
+        assert run(["sweep", "--preset", "paper-fig3", "--out", str(regular)]) == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_bytes() == regular.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "regular.csv", "target.csv"]
+
+    def test_unwritable_link_target_error_names_out_as_given(self, tmp_path, capsys):
+        link = tmp_path / "link.csv"
+        link.symlink_to(tmp_path / "missing" / "x.csv")
+        assert run(["sweep", "--preset", "paper-fig3", "--out", str(link)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {str(link)!r}: No such file or directory\n"
+        assert link.is_symlink() and os.listdir(tmp_path) == ["link.csv"]
+
     def test_written_file_gets_umask_mode(self, tmp_path):
         out = tmp_path / "fig3.csv"
         umask = os.umask(0o022)

@@ -6,7 +6,8 @@ The consistency and unitarity suites evaluate stacked designs through
 array-valued parameters, so one fault is planted only in the array branch
 of the square root the elements use.  Three faults change the phase of a
 coefficient and no magnitude: only the unitarity suite's commutator
-check sees them.
+check sees them.  The uncertainty suite runs its lossy cavities on arrays
+and its lossless ones on floats, and a fault in either half fails it.
 """
 
 import math
@@ -144,4 +145,28 @@ def test_nan_frequency_fails_unitarity(monkeypatch):
 
 def test_nan_variances_fail_uncertainty_product(monkeypatch):
     monkeypatch.setattr(verify, "opa_output_variances", lambda opa, omega: (math.nan, math.nan))
+    assert not verify.check_uncertainty_product().passed
+
+
+def array_sqrt_low(x):
+    """The square root, 1e-3 relative low for arrays only."""
+    if isinstance(x, (float, int)):
+        return math.sqrt(x)
+    return np.sqrt(x) * (1.0 - 1e-3)
+
+
+def test_array_fault_fails_the_stacked_lossy_half(monkeypatch):
+    # Only the lossy cavities run on arrays; their V+ V- falls below 1.
+    monkeypatch.setattr(elements, "_sqrt", array_sqrt_low)
+    assert not verify.check_uncertainty_product().passed
+
+
+def test_float_fault_fails_the_lossless_half(monkeypatch):
+    original = verify.opa_output_variances
+
+    def float_vm_low(opa, omega):
+        vp, vm = original(opa, omega)
+        return (vp, vm * (1.0 - 1e-9)) if isinstance(omega, float) else (vp, vm)
+
+    monkeypatch.setattr(verify, "opa_output_variances", float_vm_low)
     assert not verify.check_uncertainty_product().passed

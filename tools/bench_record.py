@@ -11,14 +11,18 @@ reversed on every other seed, so that a drift of the machine's speed falls
 on both sides.  Each run's final JSON line is appended to ``BENCH_<pr>.json``
 at the root (created if missing) with the commit, the hash of its ``src``
 tree (which outlives a rewritten commit), the workload, seed, trace flag,
-the number of its pair, so that parent and change runs can be matched, and
-the machine's 1-minute load average when the run started and ended.
+the number of its pair, so that parent and change runs can be matched, the
+machine's 1-minute load average when the run started and ended, and the CPU
+seconds (user plus system) the run's processes took.  Wall-time metrics
+follow the machine's load; CPU time tells a slower machine from slower code.
 
 With two commits, the first is the parent and the second the change.  After
 its runs the tool prints, per workload, a summary of every pair in the file
 that compares those two commits: each end-to-end metric's median per
 commit, the change/parent ratio of the medians, the number of pairs the
-change won, and the range of the 1-minute load average over those runs.
+change won, the range of the 1-minute load average over those runs, and
+the same median ratio and win count for the runs' CPU time per attempted
+operation.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import argparse
 import io
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -56,6 +61,12 @@ def checkout(sha: str) -> Path:
     return dest
 
 
+def cpu_seconds() -> float:
+    """User plus system CPU time of every child process waited for so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
     seconds = json.loads((tree / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
     cmd = [
@@ -69,10 +80,25 @@ def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads(lines[-1])
 
 
+#: CPU time per attempted operation, summarized beside the end-to-end
+#: metrics.  A run lasts a set time, so its CPU seconds alone barely move.
+CPU = {"name": "cpu_ms_per_op", "unit": "ms", "better": "lower"}
+
+
+def value(run: dict, name: str) -> float | None:
+    """The run's value of end-to-end metric ``name`` or of ``cpu_ms_per_op``;
+    None if not recorded."""
+    if name == CPU["name"]:
+        return 1e3 * run["cpu_s"] / run["result"]["attempted"] if "cpu_s" in run else None
+    metric = run["result"]["metrics"].get(name)
+    return None if metric is None else metric["value"]
+
+
 def summary(record: dict, parent: str, change: str, end_to_end: list[dict]) -> list[str]:
     """Per workload, the end-to-end medians of ``parent`` and ``change`` over
     every pair of the two in ``record``, their ratio, the change's wins and
-    the load range.  A metric missing from any run of a workload is left out."""
+    the load range, then the same for CPU time per operation.  A metric
+    missing from any run of a workload is left out."""
     pairs: dict = defaultdict(dict)
     for run in record["runs"]:
         pairs[run["pair"]][run["commit"]] = run
@@ -87,11 +113,11 @@ def summary(record: dict, parent: str, change: str, end_to_end: list[dict]) -> l
         lines.append(
             f"{workload} trace {trace}: {len(matched)} pairs, load {min(loads):.2f}-{max(loads):.2f}"
         )
-        for metric in end_to_end:
+        for metric in [*end_to_end, CPU]:
             name = metric["name"]
-            if any(name not in run["result"]["metrics"] for pair in matched for run in pair):
-                continue  # a traced run reports per-layer metrics only
-            a, b = ([run["result"]["metrics"][name]["value"] for run in side] for side in zip(*matched))
+            a, b = ([value(run, name) for run in side] for side in zip(*matched))
+            if None in a or None in b:
+                continue  # a traced run reports per-layer metrics only; old runs have no CPU time
             sign = 1 if metric["better"] == "higher" else -1
             wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
             ma, mb = statistics.median(a), statistics.median(b)
@@ -121,8 +147,9 @@ def main() -> None:
             pair += 1
             order = args.commits if pair % 2 == 0 else args.commits[::-1]
             for commit in order:
-                load_start = os.getloadavg()[0]
+                load_start, cpu_start = os.getloadavg()[0], cpu_seconds()
                 result = run_once(trees[commit], workload, seed, args.trace)
+                cpu_s = cpu_seconds() - cpu_start
                 record["runs"].append({
                     "commit": shas[commit],
                     "src_tree": git("rev-parse", f"{shas[commit]}:src"),
@@ -131,10 +158,14 @@ def main() -> None:
                     "trace": args.trace,
                     "pair": pair,
                     "load_average": [load_start, os.getloadavg()[0]],
+                    "cpu_s": cpu_s,
                     "result": result,
                 })
-                value = {k: round(v["value"], 4) for k, v in result["metrics"].items()}
-                print(f"{shas[commit][:12]} {workload} seed {seed}: correct={result['correct']} {value}")
+                values = {k: round(v["value"], 4) for k, v in result["metrics"].items()}
+                print(
+                    f"{shas[commit][:12]} {workload} seed {seed}: correct={result['correct']}"
+                    f" cpu_s={cpu_s:.2f} {values}"
+                )
                 out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     if len(shas) == 2:
         benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
