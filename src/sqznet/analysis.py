@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
-from .core import Quadrature, _require
+from .core import _SQUARE_MAX, Quadrature, _require
 from .elements import OpaParams
 from .network import (
     SRC,
@@ -48,11 +48,14 @@ def _cancelling_eps1(epsilon2: float, opa: OpaParams, omega: float) -> float:
 
     T = sqrt(4*k_ic*k_oc) / (i*omega + kappa - g) is the squeezed arm's seed
     transfer; |T|^2 is written in units of kappa, so that omega = 0 gives the
-    bits :func:`epsilon1_plus` always gave.  Every argument may be an array.
+    bits :func:`epsilon1_plus` always gave.  ``omega / kappa`` must have a
+    finite square.  Every argument may be an array.
     """
     if (ok := (0.0 < epsilon2) & (epsilon2 < 1.0)) is not True:
         _require(ok, "epsilon2 must lie strictly inside (0, 1), got {}", epsilon2)
     kappa = opa.kappa
+    if (ok := abs(omega) / kappa <= _SQUARE_MAX) is not True:
+        _require(ok, "omega must be finite, with a finite (omega / kappa)**2, got {}", omega)
     bracket = 1.0 + (epsilon2 / (1.0 - epsilon2)) * (
         4.0 * opa.kappa_ic * opa.kappa_oc / kappa**2
     ) / ((1.0 - opa.g / kappa) ** 2 + (omega / kappa) ** 2)

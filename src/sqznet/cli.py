@@ -49,8 +49,9 @@ def _csv_parts(cfg: ScenarioConfig) -> tuple[str, str]:
 def write_csv(cfg: ScenarioConfig, out_path: str) -> None:
     """Sweep the scenario and write one CSV row per grid frequency.
 
-    The rows go to a new file next to ``out_path``, created first, so an
-    unwritable path fails before any point is computed.  It replaces
+    The rows go to a new file beside ``out_path``, created first, so an
+    unwritable path fails before any point is computed; its name has a fixed
+    length, so it fits wherever ``out_path``'s own name does.  It replaces
     ``out_path`` once complete and is removed on any failure, which leaves
     ``out_path`` as it was.  An ``out_path`` that exists and is not a
     regular file (a pipe or a device) is not replaced: every row is
@@ -69,7 +70,7 @@ def write_csv(cfg: ScenarioConfig, out_path: str) -> None:
             fh.writelines(parts)
         return
     real_path = os.path.realpath(out_path)
-    tmp_path = f"{real_path}.{os.urandom(4).hex()}.tmp"
+    tmp_path = os.path.join(os.path.dirname(real_path), f".sqznet-{os.urandom(4).hex()}.tmp")
     try:
         # The mode open(..., "w") would give: 0o666 less the umask.
         fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

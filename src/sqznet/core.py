@@ -212,6 +212,6 @@ def sum_coefficient_power(field: LinearField, q: Quadrature) -> float:
 
 def db_rel_shot(v: float) -> float:
     """Variance in dB relative to shot noise (v = 1 maps to 0 dB)."""
-    if v <= 0.0:
-        raise ValueError(f"variance must be > 0 to express in dB, got {v}")
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"variance must be > 0 and finite to express in dB, got {v}")
     return 10.0 * math.log10(v)

@@ -337,7 +337,9 @@ def sweep(net: NetworkDescription, grid_hz: Sequence[float]) -> Spectrum:
     import numpy as np
 
     grid = np.asarray(grid_hz, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
+    if grid.ndim != 1:
+        raise ValueError(f"frequency grid must be one-dimensional, got shape {grid.shape}")
+    if grid.size == 0:
         raise ValueError("frequency grid is empty")
     if not (grid[0] > 0.0 and (np.diff(grid) > 0.0).all()):
         raise ValueError("frequency grid must be strictly increasing and positive")

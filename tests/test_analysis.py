@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -144,6 +145,20 @@ class TestSolveCancellation:
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
             solve_cancellation_numeric(p, 0.0)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf, 1e200])
+    def test_frequency_without_a_finite_square_rejected(self, omega):
+        # Each once failed on epsilon1, on the residual or in an OverflowError.
+        p = load_preset("paper-fig2").mach_zehnder
+        message = f"omega must be finite, with a finite (omega / kappa)**2, got {omega}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_cancellation_numeric(p, omega)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            suppression_db(p, omega, 1e-3)
+
+    def test_far_above_the_linewidth_still_solves(self):
+        sol = solve_cancellation_numeric(load_preset("paper-fig2").mach_zehnder, 1e155)
+        assert (sol.epsilon1, sol.phi) == (0.0, math.pi / 2)
+
     def test_residual_above_tolerance_raises(self):
         p = load_preset("paper-fig2").mach_zehnder
         with pytest.raises(ArithmeticError, match="residual"):
@@ -191,6 +206,11 @@ class TestSuppression:
         a = suppression_db(cfg.mach_zehnder, omega, 1e-3)
         b = suppression_db(noisy, omega, 1e-3)
         assert a == pytest.approx(b, rel=1e-12)
+
+    def test_no_input_coupling_leaves_nothing_to_suppress(self):
+        # eps1 solves to 0, so any mismatch keeps it there and no source is left.
+        p = mz_params(0.5, 0.9, 0.0, OpaParams(0.0, 0.8, 0.2, -0.3))
+        assert suppression_db(p, 1.0, 1e-3) == math.inf
 
     def test_negative_mismatch_rejected(self, rng):
         p = mz_params(0.5, 0.9, 0.0, draw_opa(rng))

@@ -357,6 +357,25 @@ class TestSweepCommand:
         assert out.stat().st_mode & 0o777 == 0o644
         assert os.listdir(tmp_path) == ["fig3.csv"]
 
+    def test_out_name_at_the_length_limit(self, tmp_path):
+        # 250 bytes: the name fits, but not with a suffix appended to it.
+        out = tmp_path / ("f" * 246 + ".csv")
+        assert run(["sweep", "--preset", "paper-fig3", "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0].startswith("frequency_hz,") and len(lines) == 452
+        assert os.listdir(tmp_path) == [out.name]
+
+    def test_missing_config_file_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "missing.yaml"
+        code = run(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot read config '{cfg_path}': "
+            f"[Errno 2] No such file or directory: '{cfg_path}'\n"
+        )
+        assert os.listdir(tmp_path) == []
+
     def test_unparseable_yaml_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "broken.yaml"
         cfg_path.write_text("mach_zehnder: [unclosed")

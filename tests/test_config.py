@@ -72,6 +72,35 @@ def test_bad_value_is_config_error(path, value):
         parse_config(data)
 
 
+def _edited(path: tuple, value) -> dict:
+    data = _paper_base()
+    _edit(data, path, value)
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([1], "top-level config must be a mapping"),
+        (
+            _edited(("mach_zehnder", "carrier_power_w"), -1.0),
+            "mach_zehnder.carrier_power_w must be >= 0",
+        ),
+        (
+            _edited(("mach_zehnder", "opa", "linewidth_convention"), "hz"),
+            "invalid OPA mirror parameters: unknown linewidth convention 'hz'",
+        ),
+        (_edited(("grid", "min_hz"), 0.0), "grid.min_hz must be finite and > 0, got 0.0"),
+        (_edited(("grid", "max_hz"), 5.0e4), "grid.max_hz must be finite and exceed grid.min_hz"),
+    ],
+    ids=["top-level-list", "carrier-negative", "convention-hz", "grid-min-zero", "grid-max-at-min"],
+)
+def test_config_error_message(data, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(data)
+    assert str(err.value) == message
+
+
 def test_grid_cap_is_inclusive():
     # Construction only: a grid at the cap is valid, and nothing is allocated.
     assert GridSpec(1.0, 2.0, MAX_GRID_POINTS).points == MAX_GRID_POINTS

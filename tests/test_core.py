@@ -73,9 +73,9 @@ def test_db_rel_shot(v, expected):
     assert db_rel_shot(v) == pytest.approx(expected, abs=5e-4)
 
 
-@pytest.mark.parametrize("v", [0.0, -1.0])
+@pytest.mark.parametrize("v", [0.0, -1.0, math.nan, math.inf])
 def test_db_rel_shot_domain_error(v):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^variance must be > 0 and finite .*, got {v}$"):
         db_rel_shot(v)
 
 

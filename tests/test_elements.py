@@ -200,6 +200,11 @@ class TestOpa:
         with pytest.raises(ValueError, match="oc"):
             opa_transfer(seeded, opa, "oc", "cav")
 
+    def test_one_label_for_both_vacua_rejected(self):
+        opa = OpaParams(1.0, 1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="^oc and loss vacuum ids must differ$"):
+            opa_transfer(source("seed", 0.0), opa, "v", "v")
+
 
 class TestLoss:
     def test_unity_eta_is_identity(self):
@@ -422,6 +427,11 @@ class TestArrayParams:
         assert Beamsplitter(np.float64(0.3)) == Beamsplitter(0.3)
         assert hash(PhaseShifter(0.3)) == hash((0.3,))
         assert hash(HomodyneParams()) == hash((1.0, 1.0, 0.0))
+
+    def test_elements_of_two_kinds_differ(self):
+        # Equal fields, other class: each side declines, so they differ.
+        assert Beamsplitter(0.5).__eq__(PhaseShifter(0.5)) is NotImplemented
+        assert (Beamsplitter(0.5) == PhaseShifter(0.5)) is False
 
     def test_passing_scalar_checks_make_no_call(self):
         # Every check guards its call with `ok is not True`, so plain numbers

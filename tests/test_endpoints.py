@@ -161,6 +161,12 @@ BOUNDS = {
     "cancelling-epsilon2-upper": upper(
         lambda v: epsilon1_plus(v, OPA), "strictly inside", closed=False
     ),
+    "cancelling-omega": (
+        lambda w: solve_cancellation_numeric(mz_with(), w),
+        2.0 * SQUARE_MAX,  # omega / kappa at the largest finite square
+        math.nextafter(2.0 * SQUARE_MAX, math.inf),
+        "omega must be finite",
+    ),
     "squeezed-epsilon2-lower": lower(lambda v: squeezed_vacuum_variance(v, OPA), "epsilon2"),
     "squeezed-epsilon2-upper": upper(lambda v: squeezed_vacuum_variance(v, OPA), "epsilon2"),
     "suppression-mismatch": lower(lambda v: suppression_db(mz_with(), 1e-3, v), "mismatch"),

@@ -232,6 +232,49 @@ class TestValidation:
 
 
     @pytest.mark.parametrize(
+        "wiring, message",
+        [
+            ({"edges": ((("a", 0), ("z", 0)),)}, "edge references unknown element 'z'"),
+            (
+                {
+                    "elements": {"a": PhaseShifter(0.0), "b": Beamsplitter(0.5)},
+                    "edges": ((("a", 0), ("b", 0)), (("a", 0), ("b", 1))),
+                },
+                "output port ('a', 0) feeds more than one edge",
+            ),
+            (
+                {
+                    "elements": {name: PhaseShifter(0.0) for name in "abc"},
+                    "edges": ((("a", 0), ("c", 0)), (("b", 0), ("c", 0))),
+                    "inputs": {("a", 0): "x", ("b", 0): "y"},
+                    "detector": ("c", 0),
+                },
+                "input port ('c', 0) has more than one feed",
+            ),
+            (
+                {"inputs": {("a", 0): "x", ("z", 0): "y"}},
+                "input assignment references unknown element 'z'",
+            ),
+            (
+                {"inputs": {("a", 0): "x", ("b", 0): "y"}},
+                "input port ('b', 0) is both wired and assigned a source",
+            ),
+            ({"detector": ("z", 0)}, "detector references unknown element 'z'"),
+        ],
+    )
+    def test_wiring_error_names_its_fault(self, wiring, message):
+        chain = {
+            "elements": {"a": PhaseShifter(0.0), "b": PhaseShifter(0.0)},
+            "edges": ((("a", 0), ("b", 0)),),
+            "inputs": {("a", 0): "x"},
+            "detector": ("b", 0),
+        }
+        evaluate(NetworkDescription(**chain), 1.0)
+        with pytest.raises(NetworkError) as err:
+            NetworkDescription(**{**chain, **wiring})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
         "wiring, match",
         [
             # Each once failed with a TypeError, in evaluate or at build.
@@ -464,6 +507,8 @@ class TestSweep:
         net = build_mach_zehnder(mz_params(0.3, 0.9, 0.0, draw_opa(rng)))
         with pytest.raises(ValueError, match="empty"):
             sweep(net, [])
+        with pytest.raises(ValueError, match=r"^.* one-dimensional, got shape \(1, 2\)$"):
+            sweep(net, [[1e5, 2e5]])
         with pytest.raises(ValueError, match="increasing"):
             sweep(net, [2e5, 1e5])
         with pytest.raises(ValueError, match="positive"):

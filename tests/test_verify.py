@@ -1,11 +1,15 @@
-"""The verify suites' draws and their two numeric branches.
+"""The verify suites' draws, their two numeric branches and their verdicts.
 
 ``sqznet verify --seed N`` prints the same lines as long as each suite draws
 the same values, so the stream ``draw_opa`` takes is pinned here against the
-``Generator.uniform`` calls it has always made.  The uncertainty suite runs
-its lossy cavities stacked on arrays and its lossless ones on floats; the
-stacked half is held to the float branch design by design.
+``Generator.uniform`` calls it makes, spelled out.  The uncertainty suite
+runs its lossy cavities stacked on arrays and its lossless ones on floats;
+the stacked half is held to the float branch design by design.  A suite's
+verdict is derived from its error, so no result can contradict itself.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -52,3 +56,24 @@ def test_stacked_lossy_cavities_match_each_cavity_on_floats(monkeypatch):
     assert omega.shape == (1000,)
     assert np.max(abs(vp - ref_p) / ref_p) <= 1e-14
     assert np.max(abs(vm - ref_m) / ref_m) <= 1e-14
+
+
+def test_consistency_needs_a_draw():
+    with pytest.raises(ValueError, match="^draws must be >= 1, got 0$"):
+        verify.check_consistency(draws=0)
+
+
+@pytest.mark.parametrize(
+    "max_error, error, passed",
+    [
+        (1e-12, None, True),
+        (math.nextafter(1e-12, 1.0), None, False),
+        (math.nan, None, False),
+        (math.nan, "KeyError: 'src'", False),
+    ],
+)
+def test_verdict_follows_the_error(max_error, error, passed):
+    result = verify.SuiteResult("suite", max_error, 1e-12, error)
+    assert result.passed is passed
+    assert result.line().startswith("PASS" if passed else "FAIL")
+    assert "passed" not in {f.name for f in dataclasses.fields(result)}
