@@ -10,7 +10,6 @@ noise while preserving squeezing.
 from .analysis import (
     CancellationSolution,
     epsilon1_plus,
-    loss_chain,
     solve_cancellation_numeric,
     squeezed_vacuum_variance,
     squeezing_bands,
@@ -22,7 +21,6 @@ from .core import (
     NoiseVarianceModel,
     Quadrature,
     db_rel_shot,
-    sum_coefficient_power,
     variance,
 )
 from .elements import (
@@ -68,14 +66,12 @@ __all__ = [
     "epsilon1_plus",
     "evaluate",
     "homodyne_readout",
-    "loss_chain",
     "opa_from_mirrors",
     "opa_transfer",
     "solve_cancellation_numeric",
     "source",
     "squeezed_vacuum_variance",
     "squeezing_bands",
-    "sum_coefficient_power",
     "suppression_db",
     "sweep",
     "variance",

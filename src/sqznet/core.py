@@ -204,12 +204,6 @@ def variance(
     return total
 
 
-def sum_coefficient_power(field: LinearField, q: Quadrature) -> float:
-    """Unitarity diagnostic: ``sum_j |c_j|^2`` in quadrature ``q``."""
-    i = q.index
-    return sum(abs(pair[i]) ** 2 for pair in field.coeffs.values())
-
-
 def db_rel_shot(v: float) -> float:
     """Variance in dB relative to shot noise (v = 1 maps to 0 dB)."""
     if not 0.0 < v < math.inf:

@@ -112,10 +112,6 @@ class OpaParams(_ByValue):
     def kappa(self) -> float:
         return self.kappa_ic + self.kappa_oc + self.kappa_loss
 
-    @property
-    def escape_efficiency(self) -> float:
-        return self.kappa_oc / self.kappa
-
 
 def opa_from_mirrors(
     linewidth_hz: float,

@@ -13,9 +13,9 @@ from sqznet import (
     OpaParams,
     Quadrature,
     Spectrum,
+    analysis,
     epsilon1_plus,
     evaluate,
-    loss_chain,
     solve_cancellation_numeric,
     squeezed_vacuum_variance,
     squeezing_bands,
@@ -164,6 +164,13 @@ class TestSolveCancellation:
         with pytest.raises(ArithmeticError, match="residual"):
             solve_cancellation_numeric(p, 2 * math.pi * 1e6, tol=0.0)
 
+    def test_nan_residual_raises(self, monkeypatch):
+        # ``residual > tol`` is False for NaN; the solve must still refuse it.
+        monkeypatch.setattr(analysis, "_src_coefficient", lambda *a, **kw: complex(math.nan, 0.0))
+        p = load_preset("paper-fig2").mach_zehnder
+        with pytest.raises(ArithmeticError, match="residual nan"):
+            solve_cancellation_numeric(p, 2 * math.pi * 1e6)
+
     def test_residual_grows_quadratically_with_frequency(self):
         cfg = load_preset("paper-fig2")
         p = cfg.mach_zehnder
@@ -236,24 +243,12 @@ class TestSuppression:
 
 
 class TestLossChain:
-    def test_identity(self):
-        assert loss_chain([1.0, 1.0, 1.0]) == 1.0
-
-    def test_paper_budget(self):
-        assert loss_chain([0.92, 0.975**2, 0.95, 0.88]) == pytest.approx(0.731, abs=2e-3)
-
     def test_floor_on_perfect_squeezing(self):
         # eta*V + (1 - eta) at V = 0.
         eta = 0.73
         floor = eta * 0.0 + (1.0 - eta)
         assert floor == pytest.approx(0.27, abs=1e-12)
         assert 10 * math.log10(floor) == pytest.approx(-5.7, abs=0.02)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            loss_chain([0.9, 1.2])
-        with pytest.raises(ValueError):
-            loss_chain([0.0])
 
 
 def _spectrum(freqs, values):

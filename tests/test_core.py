@@ -16,7 +16,6 @@ from sqznet import (
     opa_transfer,
     source,
     squeezed_vacuum_variance,
-    sum_coefficient_power,
     variance,
 )
 from sqznet.core import combine
@@ -51,18 +50,14 @@ def test_variance_missing_model_names_source():
         variance(f, Quadrature.PLUS, {})
 
 
-def test_sum_coefficient_power_empty():
-    f = LinearField(omega=0.0, coeffs={})
-    assert sum_coefficient_power(f, Quadrature.PLUS) == 0.0
-
-
 def test_passive_cavity_coefficient_power_is_unit():
     # (2*k_oc - k)^2 + w^2 + 4*k_oc*(k_ic + k_loss) = k^2 + w^2
     opa = OpaParams(kappa_ic=3e6, kappa_oc=5e7, kappa_loss=2e6, g=0.0)
     for omega in (0.0, 1e5, 3e7, 2e8):
         out = opa_transfer(source("seed", omega=omega), opa, "oc", "cav")
+        models = dict.fromkeys(out.coeffs, VACUUM)
         for q in Quadrature:
-            assert sum_coefficient_power(out, q) == pytest.approx(1.0, abs=1e-12)
+            assert variance(out, q, models) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(

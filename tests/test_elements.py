@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from sqznet import (
     VACUUM,
     Beamsplitter,
-    CancellationSolution,
     HomodyneParams,
     LinearField,
     LossElement,
@@ -24,12 +23,10 @@ from sqznet import (
     epsilon1_plus,
     evaluate,
     homodyne_readout,
-    loss_chain,
     opa_from_mirrors,
     opa_transfer,
     source,
     squeezed_vacuum_variance,
-    sum_coefficient_power,
     suppression_db,
     variance,
 )
@@ -70,7 +67,7 @@ class TestParams:
         # 29 MHz FWHM linewidth -> kappa = pi * 29e6 with this field decay.
         opa = opa_from_mirrors(29e6, 3e-4, 0.05, 6.5e-3, -0.3)
         assert opa.kappa == pytest.approx(math.pi * 29e6, rel=1e-12)
-        assert opa.escape_efficiency == pytest.approx(0.880, abs=5e-3)
+        assert opa.kappa_oc / opa.kappa == pytest.approx(0.880, abs=5e-3)
 
     def test_opa_from_mirrors_hwhm_doubles_kappa(self):
         a = opa_from_mirrors(29e6, 3e-4, 0.05, 6.5e-3, -0.3, "fwhm")
@@ -123,9 +120,10 @@ class TestBeamsplitter:
     def test_coefficient_power_conserved(self, eps):
         a, b = source("a"), source("b")
         out1, out2 = Beamsplitter(eps).apply(a, b)
+        models = {"a": VACUUM, "b": VACUUM}
         for q in Quadrature:
-            before = sum_coefficient_power(a, q) + sum_coefficient_power(b, q)
-            after = sum_coefficient_power(out1, q) + sum_coefficient_power(out2, q)
+            before = variance(a, q, models) + variance(b, q, models)
+            after = variance(out1, q, models) + variance(out2, q, models)
             assert after == pytest.approx(before, abs=1e-12)
 
 
@@ -146,7 +144,6 @@ class TestPhaseShift:
         (shifted,) = PhaseShifter(phi).apply(f)
         for q in Quadrature:
             assert variance(shifted, q, models) == pytest.approx(1.0, abs=1e-12)
-            assert sum_coefficient_power(shifted, q) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOpa:
@@ -266,12 +263,6 @@ class TestHomodyne:
         p = HomodyneParams(pd_efficiency=0.5, visibility=0.9, dark_rel=0.1)
         assert homodyne_readout(f, Quadrature.PLUS, p, {"a": VACUUM}) == pytest.approx(1.1)
 
-    def test_overall_27_percent_loss_chain(self):
-        # pd efficiency, visibility squared, propagation, escape efficiency.
-        composite = loss_chain([0.92, 0.975**2, 0.95, 0.88])
-        assert composite == pytest.approx(0.731, abs=2e-3)
-        assert 1.0 - composite == pytest.approx(0.27, abs=5e-3)
-
 
 OPA = OpaParams(1.0, 1.0, 0.0, 0.0)
 
@@ -331,7 +322,6 @@ BAD_SCALARS = [
     (lambda: HomodyneParams(dark_rel=math.inf), "dark_rel must be finite and >= 0, got inf"),
     (lambda: PhaseShifter(math.nan), "phi must be finite, got nan"),
     (lambda: OpaParams(math.inf, 1, 1, 0), "kappa_ic must be finite, got inf"),
-    (lambda: CancellationSolution(0.5, 0, math.nan), "residual must be finite and >= 0, got nan"),
     # Finite rates whose products would overflow in the cavity transfer.
     (
         lambda: OpaParams(1e200, 1e200, 0.0, 0.0),
@@ -362,7 +352,7 @@ class TestArrayParams:
         BAD_SCALARS,
         ids=["bs", "loss", "kappa_ic", "kappa", "threshold", "eps1_plus", "sq_vac"]
         + ["base_nan", "center_nan", "width_nan", "amplitude_nan", "dark_nan", "dark_inf"]
-        + ["phase_nan", "kappa_ic_inf", "residual_nan", "kappa_square", "kappa_inf"],
+        + ["phase_nan", "kappa_ic_inf", "kappa_square", "kappa_inf"],
     )
     def test_scalar_messages(self, make, message):
         with pytest.raises(ValueError) as info:
@@ -452,7 +442,6 @@ class TestArrayParams:
             PhaseShifter(0.3)
             opa_from_mirrors(29e6, 3e-4, 0.05, 6.5e-3, -0.3)
             squeezed_vacuum_variance(0.5, OPA)
-            loss_chain([0.9, 0.8])
             suppression_db(p, omega, 0.01)
         finally:
             sys.setprofile(None)
@@ -499,11 +488,6 @@ def _mz_out(**kw):
     return _coefficients(evaluate(build_mach_zehnder(mz(**kw)), W))
 
 
-def _solution(epsilon1=0.5, phi=0.0, residual=0.0):
-    sol = CancellationSolution(epsilon1, phi, residual)
-    return [sol.epsilon1, sol.phi, sol.residual]
-
-
 def _element_out(element, *ins):
     return _coefficients(element.apply(*(source(sid, W) for sid in ins))[0])
 
@@ -530,15 +514,18 @@ CONSTRUCTORS = [
     *_varied(_model_out, "half_width", names=("half-width",)),
     *_varied(_readout, "pd_efficiency", "visibility", "dark_rel"),
     *_varied(_mz_out, "propagation_eta", "phi"),
-    *_varied(_solution, "epsilon1", "phi", "residual"),
     *_varied(_mz_out, "epsilon1", "epsilon2"),
 ]
 
 
-@pytest.mark.parametrize(
-    "call, field, names", CONSTRUCTORS, ids=[f"{i}-{c[1]}" for i, c in enumerate(CONSTRUCTORS)]
-)
-@settings(max_examples=25)  # plus the explicit examples, for each of the 28 fields
+# Ids are "<index>-<field>". The two MachZehnderParams reflectivity cases keep
+# 26 and 27: ids 23-25 belonged to CancellationSolution cases whose checks are
+# gone, and reusing them would report a different case under an old name.
+CONSTRUCTOR_IDS = [f"{i + 3 * (i >= 23)}-{c[1]}" for i, c in enumerate(CONSTRUCTORS)]
+
+
+@pytest.mark.parametrize("call, field, names", CONSTRUCTORS, ids=CONSTRUCTOR_IDS)
+@settings(max_examples=25)  # plus the explicit examples, for each of the 25 fields
 @given(value=VALUES)
 @example(value=math.nan)
 @example(value=math.inf)

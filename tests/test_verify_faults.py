@@ -132,14 +132,14 @@ def test_nan_in_array_branch_fails(monkeypatch):
 
 
 def test_nan_frequency_fails_unitarity(monkeypatch):
-    original = verify.sum_coefficient_power
+    original = verify.variance
 
-    def nan_at_one_frequency(fld, q):
+    def nan_at_one_frequency(fld, q, models):
         # A chain without a cavity gives one number per design for all 10
         # frequencies; the mask broadcasts over the designs.
-        return np.where(np.arange(10) == 3, math.nan, original(fld, q))
+        return np.where(np.arange(10) == 3, math.nan, original(fld, q, models))
 
-    monkeypatch.setattr(verify, "sum_coefficient_power", nan_at_one_frequency)
+    monkeypatch.setattr(verify, "variance", nan_at_one_frequency)
     assert not verify.check_passive_unitarity().passed
 
 

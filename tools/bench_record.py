@@ -22,7 +22,10 @@ that compares those two commits: each end-to-end metric's median per
 commit, the change/parent ratio of the medians, the number of pairs the
 change won, the range of the 1-minute load average over those runs, and
 the same median ratio and win count for the runs' CPU time per attempted
-operation.
+operation.  It marks what the benchmark's gate would refuse or could not
+decide: a change median worse than the parent's by more than the metric's
+BENCHMARK.json bound (``WORSE``), and a parent interquartile range wider
+than that bound (``unresolved``).  Both are relative to the parent median.
 """
 
 from __future__ import annotations
@@ -94,11 +97,28 @@ def value(run: dict, name: str) -> float | None:
     return None if metric is None else metric["value"]
 
 
+def marks(metric: dict, parent: list[float], ma: float, mb: float) -> str:
+    """`` WORSE`` if median ``mb`` is worse than ``ma`` by more than the metric's
+    bound, and `` unresolved`` if the quartiles of ``parent`` lie further apart
+    than it; both relative to ``ma``.  A metric without a bound gets neither."""
+    bound = metric.get("bound")
+    if bound is None:
+        return ""
+    out = ""
+    if (mb - ma if metric["better"] == "lower" else ma - mb) > bound * abs(ma):
+        out += f"  WORSE by more than {bound:.0%}"
+    if len(parent) >= 2:
+        q1, _, q3 = statistics.quantiles(parent, n=4)
+        if q3 - q1 > bound * abs(ma):
+            out += f"  unresolved: parent IQR {(q3 - q1) / abs(ma):.0%} of its median"
+    return out
+
+
 def summary(record: dict, parent: str, change: str, end_to_end: list[dict]) -> list[str]:
     """Per workload, the end-to-end medians of ``parent`` and ``change`` over
-    every pair of the two in ``record``, their ratio, the change's wins and
-    the load range, then the same for CPU time per operation.  A metric
-    missing from any run of a workload is left out."""
+    every pair of the two in ``record``, their ratio, the change's wins, the
+    load range and the :func:`marks` of the gate, then the same for CPU time
+    per operation.  A metric missing from any run of a workload is left out."""
     pairs: dict = defaultdict(dict)
     for run in record["runs"]:
         pairs[run["pair"]][run["commit"]] = run
@@ -124,6 +144,7 @@ def summary(record: dict, parent: str, change: str, end_to_end: list[dict]) -> l
             lines.append(
                 f"  {name:<16} {ma:10.4g} -> {mb:10.4g} {metric['unit']:<3}"
                 f"  ratio {mb / ma:.3f}  change better in {wins}/{len(matched)}"
+                + marks(metric, a, ma, mb)
             )
     return lines
 
